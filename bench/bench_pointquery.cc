@@ -18,8 +18,17 @@
 // bench exits nonzero — probe counts are deterministic, so this is a
 // correctness-of-optimization gate, not a timing gate.
 //
+// A size sweep follows: one client, magic routing only, on a fresh KG of
+// 200, 1000 and 5000 companies (persons at 1.5x).  Queries evaluate over a
+// copy-on-write view of the pinned snapshot, so a point query's latency
+// should follow its cone, not the size of the KG: the bench also exits
+// nonzero unless the p50 latency at 5000 companies is within 2x of the
+// p50 at 200.  The sweep lands in the section as "size_sweep".
+//
 // Usage: bench_pointquery [output.json] [seconds_per_phase] [companies]
 //                         [persons]
+// The companies/persons arguments size the client phases; the sweep always
+// runs its three sizes.
 // Default output file: BENCH_service.json in the working directory.
 
 #include <algorithm>
@@ -180,6 +189,22 @@ PhaseResult RunPhase(kgm::service::KgService& svc,
   return r;
 }
 
+// Up to 16 distinct owner oids from the snapshot's OWNS relation (column 1
+// is `from`), so every query has a non-empty cone; empty if the snapshot
+// has no OWNS edges.
+std::vector<kgm::Value> PickSources(const kgm::service::KgService& svc) {
+  std::vector<kgm::Value> sources;
+  auto snap = svc.CurrentSnapshot();
+  auto owns = snap->facts.find("OWNS");
+  if (owns == snap->facts.end()) return sources;
+  std::set<std::string> seen;
+  for (const kgm::vadalog::Tuple& t : owns->second->tuples()) {
+    if (seen.insert(t[1].ToString()).second) sources.push_back(t[1]);
+    if (sources.size() >= 16) break;
+  }
+  return sources;
+}
+
 void WritePhase(SectionWriter& w, const char* key, const PhaseResult& r) {
   w.Open(key, '{');
   w.Field("queries", r.queries);
@@ -253,21 +278,10 @@ int main(int argc, char** argv) {
   service::KgService svc(options);
   svc.Publish(net.ToOwnershipGraph(/*include_persons=*/true));
 
-  // Binding mix: distinct owner oids pulled from the snapshot's OWNS
-  // relation (column 1 is `from`), so every query has a non-empty cone.
-  std::vector<Value> sources;
-  {
-    auto snap = svc.CurrentSnapshot();
-    auto owns = snap->facts.find("OWNS");
-    if (owns == snap->facts.end() || owns->second->size() == 0) {
-      std::fprintf(stderr, "snapshot has no OWNS edges\n");
-      return 1;
-    }
-    std::set<std::string> seen;
-    for (const vadalog::Tuple& t : owns->second->tuples()) {
-      if (seen.insert(t[1].ToString()).second) sources.push_back(t[1]);
-      if (sources.size() >= 16) break;
-    }
+  const std::vector<Value> sources = PickSources(svc);
+  if (sources.empty()) {
+    std::fprintf(stderr, "snapshot has no OWNS edges\n");
+    return 1;
   }
 
   SectionWriter w;
@@ -327,6 +341,43 @@ int main(int argc, char** argv) {
   }
   w.Close(']');
   w.Field("probe_reduction_min", worst_reduction);
+
+  // Size sweep: magic p50 per KG size, one client, one service per size.
+  std::vector<double> sweep_p50;
+  w.Open("size_sweep", '[');
+  for (size_t companies : {size_t{200}, size_t{1000}, size_t{5000}}) {
+    finkg::GeneratorConfig sized = config;
+    sized.num_companies = companies;
+    sized.num_persons = companies * 3 / 2;
+    service::KgServiceOptions sized_options;
+    sized_options.num_workers = 1;
+    service::KgService sized_svc(sized_options);
+    sized_svc.Publish(finkg::ShareholdingNetwork::Generate(sized)
+                          .ToOwnershipGraph(/*include_persons=*/true));
+    const std::vector<Value> sized_sources = PickSources(sized_svc);
+    if (sized_sources.empty()) {
+      std::fprintf(stderr, "snapshot at %zu companies has no OWNS edges\n",
+                   companies);
+      return 1;
+    }
+    PhaseResult r = RunPhase(sized_svc, sized_sources, 1, phase_seconds, true);
+    total_errors += r.errors;
+    sweep_p50.push_back(r.p50);
+    w.Open(nullptr, '{');
+    w.Field("companies", companies);
+    w.Field("persons", static_cast<size_t>(sized.num_persons));
+    w.Field("snapshot_facts", sized_svc.CurrentSnapshot()->TotalFacts());
+    WritePhase(w, "magic", r);
+    w.Close('}');
+    std::printf(
+        "bench_pointquery: size sweep %5zu companies  magic p50 %.6fs "
+        "(%zu queries)\n",
+        companies, r.p50, r.queries);
+  }
+  w.Close(']');
+  const double size_ratio =
+      sweep_p50.front() > 0 ? sweep_p50.back() / sweep_p50.front() : 0;
+  w.Field("size_p50_ratio", size_ratio);
   w.Close('}');
 
   if (total_errors > 0) {
@@ -338,6 +389,13 @@ int main(int argc, char** argv) {
                  "bench_pointquery: probe reduction %.2fx below the 5x "
                  "acceptance floor\n",
                  worst_reduction);
+    return 1;
+  }
+  if (sweep_p50.front() <= 0 || size_ratio > 2.0) {
+    std::fprintf(stderr,
+                 "bench_pointquery: magic p50 at 5000 companies is %.2fx the "
+                 "p50 at 200, above the 2x ceiling\n",
+                 size_ratio);
     return 1;
   }
   if (!WriteSection(out_path, w.out.str())) return 1;

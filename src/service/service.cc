@@ -162,6 +162,10 @@ Result<uint64_t> KgService::ApplyDelta(const vadalog::EdbDelta& delta) {
     if (ins != delta.inserts.end()) {
       for (const vadalog::Tuple& t : ins->second) next.Insert(t);
     }
+    // Published relations are read-only and shared by concurrent queries,
+    // so an erase's stale statistics are rebuilt here, once, rather than by
+    // each query's planner.
+    next.RefreshStats();
     if (next.version() != rel->version()) changed.insert(pred);
     snap->facts.emplace(
         pred, std::make_shared<const vadalog::Relation>(std::move(next)));
@@ -421,7 +425,7 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
   auto rows = std::make_shared<std::vector<vadalog::Tuple>>();
   if (!request.bound_args.empty()) {
     // Point query: route through the magic-sets / QSQR dispatcher against
-    // this request's private clone of the pinned snapshot.  With
+    // this request's copy-on-write clone of the pinned snapshot.  With
     // use_point_query=false the dispatcher is forced onto the materialize
     // route, giving benchmarks an apples-to-apples baseline (same entry
     // point, same filter semantics, full bottom-up evaluation).
@@ -452,6 +456,7 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
       *rows = rel->tuples();
     }
   }
+  stats_.RecordCowCopies(db.cow_copies());
   out.rows = std::move(rows);
   out.eval_seconds = Seconds(eval_start, Clock::now());
 
@@ -476,6 +481,9 @@ StatsSnapshot KgService::Stats() const {
   external.prepared_misses = prepared.misses;
   external.prepared_key_collisions = prepared.key_collisions;
   external.result_key_collisions = results_.counters().key_collisions;
+  if (std::shared_ptr<const Snapshot> snap = CurrentSnapshot()) {
+    external.shared_index_builds = snap->IndexBuilds();
+  }
   return stats_.Snapshot(pending_.load(std::memory_order_relaxed), external);
 }
 

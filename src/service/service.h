@@ -17,10 +17,12 @@
 //   2. caching — MetaLog programs are parse+MTV-compiled once per
 //      (source, catalog fingerprint) via PreparedCache, and whole results
 //      are cached per (request, epoch), invalidated by publication;
-//   3. evaluation — the snapshot's precomputed relational encoding is
-//      cloned, the compiled program runs to fixpoint with a per-request
-//      deadline (cooperatively checked inside the engine), and the output
-//      predicate's tuples are returned.
+//   3. evaluation — the compiled program runs to fixpoint over a
+//      copy-on-write clone of the snapshot's precomputed relational
+//      encoding (it reads the snapshot's relations in place and copies
+//      only those it writes), with a per-request deadline (cooperatively
+//      checked inside the engine), and the output predicate's tuples are
+//      returned.
 
 #ifndef KGM_SERVICE_SERVICE_H_
 #define KGM_SERVICE_SERVICE_H_
@@ -79,7 +81,7 @@ struct QueryResult {
   uint64_t epoch = 0;
   bool result_cache_hit = false;
   // Set when the program widened an extensional label's property list and
-  // the graph had to be re-encoded instead of cloning the snapshot facts.
+  // the graph had to be re-encoded instead of sharing the snapshot facts.
   bool fresh_encoding = false;
   double eval_seconds = 0;
   // Column names of `rows` (known for MetaLog outputs; empty for Vadalog).

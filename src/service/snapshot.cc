@@ -6,8 +6,14 @@ namespace kgm::service {
 
 vadalog::FactDb Snapshot::CloneFacts() const {
   vadalog::FactDb db;
-  for (const auto& [pred, rel] : facts) db.Adopt(pred, rel->Clone());
+  for (const auto& [pred, rel] : facts) db.Adopt(pred, rel);
   return db;
+}
+
+size_t Snapshot::IndexBuilds() const {
+  size_t builds = 0;
+  for (const auto& [pred, rel] : facts) builds += rel->index_builds();
+  return builds;
 }
 
 size_t Snapshot::TotalFacts() const {
@@ -25,10 +31,9 @@ std::shared_ptr<const Snapshot> BuildSnapshot(pg::PropertyGraph graph,
   snap->catalog = metalog::GraphCatalog::FromGraph(*snap->graph);
   snap->catalog_fingerprint = snap->catalog.Fingerprint();
   vadalog::FactDb encoded = metalog::EncodeGraph(*snap->graph, snap->catalog);
-  encoded.ForEachRelation([&](const std::string& pred, vadalog::Relation& rel) {
-    snap->facts.emplace(
-        pred, std::make_shared<const vadalog::Relation>(std::move(rel)));
-  });
+  for (const std::string& pred : encoded.Predicates()) {
+    snap->facts.emplace(pred, encoded.Share(pred));
+  }
   snap->num_nodes = snap->graph->num_nodes();
   snap->num_edges = snap->graph->num_edges();
   return snap;

@@ -11,7 +11,12 @@
 // Relation>` per predicate, so a *delta* snapshot (KgService::ApplyDelta)
 // re-encodes only the relations the delta touched and shares every other
 // relation — and the graph, and the catalog — with the previous epoch by
-// pointer.  Full publications own every relation exclusively.
+// pointer.  Queries share the relations too: CloneFacts hands each
+// evaluation a copy-on-write FactDb over them, which copies only the
+// relations the evaluation writes.  The one thing readers add to a
+// snapshot relation is a hash index, built lazily once per mask under the
+// relation's lock and reused by every later query of any epoch that
+// shares the relation.
 
 #ifndef KGM_SERVICE_SNAPSHOT_H_
 #define KGM_SERVICE_SNAPSHOT_H_
@@ -39,9 +44,9 @@ struct Snapshot {
   metalog::GraphCatalog catalog;
   uint64_t catalog_fingerprint = 0;
   // Relational encoding of `graph` per `catalog`, one immutable relation
-  // per predicate, precomputed so queries clone facts instead of
-  // re-encoding the graph per request.  Delta snapshots alias unchanged
-  // relations with the previous epoch.
+  // per predicate, precomputed so queries share it instead of re-encoding
+  // the graph per request.  Delta snapshots alias unchanged relations with
+  // the previous epoch.  No relation here has stale statistics.
   std::map<std::string, std::shared_ptr<const vadalog::Relation>> facts;
 
   // True when this epoch was produced by ApplyDelta: `facts` has diverged
@@ -54,8 +59,14 @@ struct Snapshot {
   size_t num_nodes = 0;
   size_t num_edges = 0;
 
-  // Deep-copies the encoding into a mutable database for one evaluation.
+  // Copy-on-write clone of the encoding for one evaluation: a database
+  // that shares every relation (O(#relations) pointer copies) and copies a
+  // relation only when the evaluation first writes it.
   vadalog::FactDb CloneFacts() const;
+  // Hash indexes built lazily on this epoch's relations (see
+  // vadalog::Relation::index_builds), counting a relation shared with an
+  // earlier epoch by what it built there too.
+  size_t IndexBuilds() const;
   size_t TotalFacts() const;
 };
 

@@ -64,6 +64,8 @@ std::string StatsSnapshot::ToJson() const {
   out << ",\"subqueries\":" << magic_subqueries;
   out << ",\"probes\":" << magic_probes;
   out << "}";
+  out << ",\"cow_relation_copies\":" << cow_relation_copies;
+  out << ",\"shared_index_builds\":" << shared_index_builds;
   out << "}";
   return out.str();
 }
@@ -148,6 +150,11 @@ void ServiceStats::RecordPointQuery(
   magic_probes_ += pq_stats.engine.join_probes;
 }
 
+void ServiceStats::RecordCowCopies(size_t copies) {
+  std::lock_guard<std::mutex> lock(mu_);
+  cow_relation_copies_ += copies;
+}
+
 void ServiceStats::RecordPublish(uint64_t epoch, bool delta) {
   std::lock_guard<std::mutex> lock(mu_);
   ++publishes_;
@@ -194,6 +201,8 @@ StatsSnapshot ServiceStats::Snapshot(size_t queue_depth,
   s.magic_fallbacks = magic_fallbacks_;
   s.magic_subqueries = magic_subqueries_;
   s.magic_probes = magic_probes_;
+  s.cow_relation_copies = cow_relation_copies_;
+  s.shared_index_builds = external.shared_index_builds;
 
   const auto now = std::chrono::steady_clock::now();
   s.uptime_seconds = std::chrono::duration<double>(now - start_).count();

@@ -80,6 +80,17 @@ struct StatsSnapshot {
   uint64_t magic_subqueries = 0;    // adorned predicates / QSQR subqueries
   uint64_t magic_probes = 0;        // join probes spent answering
 
+  // Copy-on-write snapshot sharing.  Evaluations read the pinned epoch's
+  // relations in place; `cow_relation_copies` counts the snapshot
+  // relations evaluations copied because they wrote them (0 for a magic
+  // point query, which writes only its own adorned predicates).
+  // `shared_index_builds` counts the hash indexes built lazily on the
+  // current epoch's relations — once per (relation, mask), then reused by
+  // every query.  Either one growing with the query count means queries
+  // pay for the size of the KG again.
+  uint64_t cow_relation_copies = 0;
+  uint64_t shared_index_builds = 0;
+
   std::string ToJson() const;
 };
 
@@ -101,6 +112,8 @@ class ServiceStats {
   // Folds one point-query evaluation's routing outcome and magic counters
   // into the service aggregates.
   void RecordPointQuery(const vadalog::magic::PointQueryStats& pq_stats);
+  // Adds the snapshot relations one evaluation copied on first write.
+  void RecordCowCopies(size_t copies);
 
   // Cache counters owned elsewhere, passed in when snapshotting.
   struct ExternalCounters {
@@ -108,6 +121,7 @@ class ServiceStats {
     uint64_t prepared_misses = 0;
     uint64_t prepared_key_collisions = 0;
     uint64_t result_key_collisions = 0;
+    uint64_t shared_index_builds = 0;
   };
 
   // `queue_depth` and the cache counters live elsewhere; the service
@@ -144,6 +158,7 @@ class ServiceStats {
   uint64_t magic_fallbacks_ = 0;
   uint64_t magic_subqueries_ = 0;
   uint64_t magic_probes_ = 0;
+  uint64_t cow_relation_copies_ = 0;
   std::vector<double> latencies_;  // ring buffer
   size_t latency_next_ = 0;
   size_t latency_count_ = 0;       // total ever recorded

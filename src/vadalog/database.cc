@@ -99,6 +99,30 @@ double DistinctSketch::Estimate() const {
   return raw;
 }
 
+Relation::IndexList::IndexList(IndexList&& other) noexcept
+    : head(other.head.exchange(nullptr)), builds(other.builds.load()) {}
+
+Relation::IndexList& Relation::IndexList::operator=(
+    IndexList&& other) noexcept {
+  if (this != &other) {
+    Clear();
+    head.store(other.head.exchange(nullptr));
+    builds.store(other.builds.load());
+  }
+  return *this;
+}
+
+Relation::IndexList::~IndexList() { Clear(); }
+
+void Relation::IndexList::Clear() {
+  IndexNode* n = head.exchange(nullptr);
+  while (n != nullptr) {
+    IndexNode* next = n->next;
+    delete n;
+    n = next;
+  }
+}
+
 Relation::Relation(size_t arity, size_t shard_count) : arity_(arity) {
   shard_count = RoundUpPow2(shard_count);
   shards_.reserve(shard_count);
@@ -120,7 +144,17 @@ Relation Relation::Clone() const {
   for (size_t i = 0; i < shards_.size(); ++i) {
     out.shards_[i]->dedup = shards_[i]->dedup;
   }
-  out.indexes_ = indexes_;
+  // Copy the built indexes oldest first so the copy lists them in the same
+  // order.  A concurrent build may publish a newer index meanwhile; the copy
+  // simply does not see it.
+  std::vector<const IndexNode*> built;
+  for (const IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
+    built.push_back(n);
+  }
+  for (auto it = built.rbegin(); it != built.rend(); ++it) {
+    out.indexes_.head.store(
+        new IndexNode{(*it)->mask, (*it)->index, out.indexes_.first()});
+  }
   out.stats_sketches_ = stats_sketches_;
   out.stats_stale_ = stats_stale_;
   return out;
@@ -160,8 +194,8 @@ bool Relation::Insert(Tuple t) {
   }
   uint32_t row = static_cast<uint32_t>(tuples_.size());
   bucket.rows.push_back(row);
-  for (auto& [mask, index] : indexes_) {
-    index[hasher.Masked(mask)].rows.push_back(row);
+  for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
+    n->index[hasher.Masked(n->mask)].rows.push_back(row);
   }
   // Sketches fold in the process-history-independent StableHash (not the
   // cached position hash) so distinct estimates — and the join plans built
@@ -219,15 +253,14 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
       it = it->second.rows.empty() ? shard->dedup.erase(it) : std::next(it);
     }
   }
-  for (auto& [mask, index] : indexes_) {
-    (void)mask;
-    for (auto it = index.begin(); it != index.end();) {
+  for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
+    for (auto it = n->index.begin(); it != n->index.end();) {
       patch_rows(it->second.rows);
-      it = it->second.rows.empty() ? index.erase(it) : std::next(it);
+      it = it->second.rows.empty() ? n->index.erase(it) : std::next(it);
     }
   }
-  // HLL registers cannot subtract; the planner rebuilds them on demand via
-  // RefreshStats before trusting any estimate again.
+  // HLL registers cannot subtract; RefreshStats rebuilds them before any
+  // estimate is trusted again.
   stats_stale_ = true;
   ++version_;
   return erased;
@@ -237,39 +270,53 @@ bool Relation::Contains(const Tuple& t) const {
   return FindRow(t) != kNoRow;
 }
 
-void Relation::EnsureIndex(uint64_t mask) {
+const Relation::HashIndex& Relation::BuildIndex(uint64_t mask) const {
   KGM_CHECK(mask != 0);
-  if (indexes_.count(mask) > 0) return;
-  HashIndex index;
+  std::lock_guard<std::mutex> lock(indexes_.build_mu);
+  // Another thread may have published it while this one waited.
+  if (const HashIndex* built = indexes_.Find(mask)) return *built;
+  auto node = std::make_unique<IndexNode>();
+  node->mask = mask;
   for (size_t row = 0; row < tuples_.size(); ++row) {
-    index[HashTupleMasked(tuples_[row], mask)].rows.push_back(
+    node->index[HashTupleMasked(tuples_[row], mask)].rows.push_back(
         static_cast<uint32_t>(row));
   }
-  indexes_.emplace(mask, std::move(index));
+  node->next = indexes_.first();
+  indexes_.head.store(node.get(), std::memory_order_release);
+  indexes_.builds.fetch_add(1, std::memory_order_relaxed);
+  return node.release()->index;
+}
+
+const std::vector<uint32_t>& Relation::Probe(const HashIndex& index,
+                                             uint64_t mask,
+                                             const Tuple& probe) {
+  auto bucket = index.find(HashTupleMasked(probe, mask));
+  if (bucket == index.end()) return kEmptyRows;
+  return bucket->second.rows;
+}
+
+void Relation::EnsureIndex(uint64_t mask) const {
+  if (indexes_.Find(mask) == nullptr) BuildIndex(mask);
 }
 
 const std::vector<uint32_t>& Relation::Lookup(uint64_t mask,
-                                              const Tuple& probe) {
-  EnsureIndex(mask);
-  return LookupBuilt(mask, probe);
+                                              const Tuple& probe) const {
+  const HashIndex* index = indexes_.Find(mask);
+  return Probe(index != nullptr ? *index : BuildIndex(mask), mask, probe);
 }
 
 const std::vector<uint32_t>& Relation::LookupBuilt(uint64_t mask,
                                                    const Tuple& probe) const {
-  auto it = indexes_.find(mask);
-  KGM_CHECK(it != indexes_.end());
-  auto bucket = it->second.find(HashTupleMasked(probe, mask));
-  if (bucket == it->second.end()) return kEmptyRows;
-  return bucket->second.rows;
+  const HashIndex* index = indexes_.Find(mask);
+  KGM_CHECK(index != nullptr);
+  return Probe(*index, mask, probe);
 }
 
 const std::vector<uint32_t>* Relation::TryLookupBuilt(
     uint64_t mask, const Tuple& probe) const {
-  auto it = indexes_.find(mask);
-  if (it == indexes_.end()) return nullptr;
-  auto bucket = it->second.find(HashTupleMasked(probe, mask));
-  if (bucket == it->second.end()) return &kEmptyRows;
-  return &bucket->second.rows;
+  const HashIndex* index = indexes_.Find(mask);
+  if (index == nullptr) return nullptr;
+  return &Probe(*index, mask, probe);
 }
 
 void Relation::Reshard(size_t shard_count) {
@@ -364,13 +411,11 @@ void Relation::PrepareStagedShard(size_t shard_index) {
     // Precompute the masked hashes the merge will need, so DrainPrepared
     // never rehashes a value: this is the expensive part of a drain, and
     // it now runs per shard in parallel.
-    if (!indexes_.empty()) {
+    if (indexes_.first() != nullptr) {
       TupleHasher hasher(e.tuple);
       e.index_hashes.clear();
-      e.index_hashes.reserve(indexes_.size());
-      for (const auto& [mask, index] : indexes_) {
-        (void)index;
-        e.index_hashes.push_back(hasher.Masked(mask));
+      for (const IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
+        e.index_hashes.push_back(hasher.Masked(n->mask));
       }
     }
   }
@@ -405,9 +450,8 @@ size_t Relation::DrainPrepared() {
     uint32_t row = static_cast<uint32_t>(tuples_.size());
     ShardFor(e.hash).dedup[e.hash].rows.push_back(row);
     size_t ii = 0;
-    for (auto& [mask, index] : indexes_) {
-      (void)mask;
-      index[e.index_hashes[ii++]].rows.push_back(row);
+    for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
+      n->index[e.index_hashes[ii++]].rows.push_back(row);
     }
     tuples_.push_back(std::move(e.tuple));
     fingerprint_ ^= e.hash;
@@ -475,65 +519,92 @@ void Relation::AccumulateShardCounters(std::vector<ShardCounters>* by_shard,
 FactDb FactDb::Clone() const {
   FactDb out;
   out.default_shard_count_ = default_shard_count_;
-  for (const auto& [pred, rel] : relations_) {
-    out.relations_.emplace(pred, rel.Clone());
-  }
+  out.relations_ = relations_;
   return out;
+}
+
+Relation& FactDb::Writable(Entry& e) {
+  if (!Owns(e)) {
+    auto copy = std::make_shared<Relation>(e.rel->Clone());
+    if (copy->shard_count() != default_shard_count_) {
+      copy->Reshard(default_shard_count_);
+    }
+    e.rel = std::move(copy);
+    e.created = true;
+    ++cow_copies_;
+  }
+  return const_cast<Relation&>(*e.rel);
 }
 
 Relation& FactDb::GetOrCreate(const std::string& pred, size_t arity) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) {
-    it = relations_.emplace(pred, Relation(arity, default_shard_count_)).first;
+    Entry e{std::make_shared<Relation>(arity, default_shard_count_), true};
+    it = relations_.emplace(pred, std::move(e)).first;
   }
-  KGM_CHECK_MSG(it->second.arity() == arity,
+  KGM_CHECK_MSG(it->second.rel->arity() == arity,
                 ("arity conflict for predicate " + pred).c_str());
-  return it->second;
+  return Writable(it->second);
 }
 
 const Relation* FactDb::Get(const std::string& pred) const {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
-  return &it->second;
+  return it->second.rel.get();
 }
 
 Relation* FactDb::GetMutable(const std::string& pred) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
-  return &it->second;
+  return &Writable(it->second);
+}
+
+Relation* FactDb::GetOwned(const std::string& pred) {
+  auto it = relations_.find(pred);
+  if (it == relations_.end() || !Owns(it->second)) return nullptr;
+  return const_cast<Relation*>(it->second.rel.get());
 }
 
 bool FactDb::Add(const std::string& pred, Tuple t) {
   return GetOrCreate(pred, t.size()).Insert(std::move(t));
 }
 
-void FactDb::Adopt(const std::string& pred, Relation rel) {
-  const bool inserted = relations_.emplace(pred, std::move(rel)).second;
+void FactDb::Adopt(const std::string& pred,
+                   std::shared_ptr<const Relation> rel) {
+  KGM_CHECK(rel != nullptr);
+  const bool inserted =
+      relations_.emplace(pred, Entry{std::move(rel), false}).second;
   KGM_CHECK(inserted);
+}
+
+std::shared_ptr<const Relation> FactDb::Share(const std::string& pred) const {
+  auto it = relations_.find(pred);
+  return it == relations_.end() ? nullptr : it->second.rel;
 }
 
 std::vector<std::string> FactDb::Predicates() const {
   std::vector<std::string> out;
   out.reserve(relations_.size());
-  for (const auto& [pred, rel] : relations_) out.push_back(pred);
+  for (const auto& [pred, entry] : relations_) out.push_back(pred);
   return out;
 }
 
 size_t FactDb::TotalFacts() const {
   size_t n = 0;
-  for (const auto& [pred, rel] : relations_) n += rel.size();
+  for (const auto& [pred, entry] : relations_) n += entry.rel->size();
   return n;
 }
 
 void FactDb::ReshardAll(size_t shard_count) {
   default_shard_count_ = shard_count;
-  for (auto& [pred, rel] : relations_) rel.Reshard(shard_count);
+  ForEachOwnedRelation(
+      [&](const std::string&, Relation& rel) { rel.Reshard(shard_count); });
 }
 
 std::string FactDb::DebugString() const {
   std::ostringstream os;
-  for (const auto& [pred, rel] : relations_) {
-    for (const Tuple& t : rel.tuples()) {
+  for (const auto& [pred, entry] : relations_) {
+    for (const Tuple& t : entry.rel->tuples()) {
       os << pred << "(";
       for (size_t i = 0; i < t.size(); ++i) {
         if (i > 0) os << ",";

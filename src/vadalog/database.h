@@ -4,6 +4,18 @@
 // append-only tuple store with lazily built hash indexes over arbitrary
 // position masks (used by the join in the semi-naive evaluator).
 //
+// Copy-on-write sharing.  A FactDb holds each relation through a
+// `shared_ptr<const Relation>`, so databases can share relations: a
+// snapshot's encoding, a clone of another database.  Reads (`Get`) use a
+// shared relation in place; the first write to a predicate
+// (`GetMutable` / `GetOrCreate`) copies that one relation with
+// Relation::Clone, and later writes go to the copy.  FactDb::Clone is
+// therefore O(#relations) pointer copies, and a query over a pinned
+// snapshot copies only the relations it writes.  A shared relation is
+// immutable except for its hash indexes, which are built lazily under the
+// relation's own lock and never change once published, so concurrent
+// readers can share them and probe them without locking.
+//
 // Sharding & concurrent staging.  Each Relation is internally sharded:
 // full-tuple hashes route dedup entries to one of N shards (N a power of
 // two), and every shard owns its slice of the dedup table, a mutex, and a
@@ -22,6 +34,7 @@
 #ifndef KGM_VADALOG_DATABASE_H_
 #define KGM_VADALOG_DATABASE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -112,10 +125,12 @@ class Relation {
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
-  // Deep copy: canonical tuples, dedup shards, and built indexes.  Much
-  // cheaper than re-inserting (no value is rehashed).  Must not be called
-  // with staged tuples pending.  The serving layer uses this to evaluate
-  // queries against a cloned snapshot without mutating the published one.
+  // Deep copy: canonical tuples, dedup shards, statistics and built
+  // indexes.  Much cheaper than re-inserting (no value is rehashed).  Must
+  // not be called with staged tuples pending.  This is the only deep copy:
+  // a FactDb calls it on the first write to a shared relation, and
+  // KgService::ApplyDelta on each relation a delta touches.  Safe to call
+  // while other threads read or lazily index this relation.
   Relation Clone() const;
 
   size_t arity() const { return arity_; }
@@ -158,25 +173,35 @@ class Relation {
   size_t RowOf(const Tuple& t) const { return FindRow(t); }
 
   // Row indices whose masked positions equal the corresponding positions of
-  // `probe`.  Builds (and afterwards maintains) a hash index for `mask` on
-  // first use.  mask must have at least one bit set and fit the arity.
-  const std::vector<uint32_t>& Lookup(uint64_t mask, const Tuple& probe);
+  // `probe`.  Builds the hash index for `mask` on first use (see
+  // EnsureIndex).  mask must have at least one bit set and fit the arity.
+  const std::vector<uint32_t>& Lookup(uint64_t mask, const Tuple& probe) const;
 
-  // Pre-builds the hash index for `mask` (no-op if already built).  Once
-  // built, indexes are maintained incrementally by Insert and DrainStaged,
-  // so the engine calls this before a parallel phase and probes with
-  // LookupBuilt.
-  void EnsureIndex(uint64_t mask);
+  // Builds the hash index for `mask` unless it exists.  Builds serialize on
+  // the relation's index lock and publish the finished index, so any
+  // number of threads may call this (and the probes below) on a relation
+  // nobody writes — a snapshot relation shared by concurrent queries is
+  // indexed once per mask.  Once built, indexes are maintained
+  // incrementally by Insert and DrainStaged, so the engine calls this
+  // before a parallel phase and probes with LookupBuilt.
+  void EnsureIndex(uint64_t mask) const;
+
+  // Number of hash indexes this relation built itself; indexes inherited
+  // through Clone do not count.
+  size_t index_builds() const {
+    return indexes_.builds.load(std::memory_order_relaxed);
+  }
 
   // Read-only probe: like Lookup, but requires EnsureIndex(mask) to have
-  // been called.  Safe to call concurrently with other const methods.
+  // been called.  Lock-free; safe to call concurrently with other const
+  // methods.
   const std::vector<uint32_t>& LookupBuilt(uint64_t mask,
                                            const Tuple& probe) const;
 
   // Read-only probe that tolerates a missing index: returns nullptr when
   // no index has been built for `mask` (the caller falls back to a masked
-  // scan) instead of CHECK-failing like LookupBuilt.  Safe to call
-  // concurrently with other const methods.
+  // scan) instead of CHECK-failing like LookupBuilt.  Lock-free; safe to
+  // call concurrently with other const methods.
   const std::vector<uint32_t>* TryLookupBuilt(uint64_t mask,
                                               const Tuple& probe) const;
 
@@ -201,7 +226,8 @@ class Relation {
   // the shard files into the canonical one — so keeping them costs a few
   // table lookups per new tuple.  EraseTuples only marks them stale (HLL
   // registers cannot subtract); RefreshStats rebuilds from the surviving
-  // rows on demand.
+  // rows.  Whoever erases refreshes before sharing the relation: a shared
+  // relation is never written, so its statistics must already be fresh.
 
   // Approximate distinct-value count at position `pos`, clamped to
   // [1, size()] for a non-empty relation (0 when empty).  Meaningless while
@@ -280,6 +306,39 @@ class Relation {
   };
   using HashIndex = std::unordered_map<size_t, Bucket>;
 
+  // One built hash index.
+  struct IndexNode {
+    uint64_t mask = 0;
+    HashIndex index;
+    IndexNode* next = nullptr;  // the index built before this one
+  };
+
+  // The built indexes, newest first.  A node is complete before a release
+  // store of `head` publishes it, and stays linked until the relation dies,
+  // so probes walk the list without a lock; builds serialize on `build_mu`.
+  // Writers of the relation (Insert, drains, EraseTuples) update the nodes'
+  // contents in place, which is safe because a relation being written has
+  // no concurrent readers.
+  struct IndexList {
+    std::atomic<IndexNode*> head{nullptr};
+    std::atomic<size_t> builds{0};
+    std::mutex build_mu;
+
+    IndexList() = default;
+    IndexList(IndexList&& other) noexcept;
+    IndexList& operator=(IndexList&& other) noexcept;
+    ~IndexList();
+
+    void Clear();
+    IndexNode* first() const { return head.load(std::memory_order_acquire); }
+    const HashIndex* Find(uint64_t mask) const {
+      for (const IndexNode* n = first(); n != nullptr; n = n->next) {
+        if (n->mask == mask) return &n->index;
+      }
+      return nullptr;
+    }
+  };
+
   // One staged (not yet canonical) tuple.
   struct Staged {
     StageTag tag;
@@ -304,6 +363,11 @@ class Relation {
 
   Shard& ShardFor(size_t hash) const { return *shards_[hash & shard_mask_]; }
   size_t FindRow(const Tuple& t) const;
+  // Builds and publishes the index for `mask` under the index lock, or
+  // returns the one another thread published first.
+  const HashIndex& BuildIndex(uint64_t mask) const;
+  static const std::vector<uint32_t>& Probe(const HashIndex& index,
+                                            uint64_t mask, const Tuple& probe);
   // Canonical-store membership by precomputed hash.  Read-only.
   bool CanonicalContains(const Shard& shard, size_t hash,
                          const Tuple& t) const;
@@ -314,7 +378,8 @@ class Relation {
   std::vector<Tuple> tuples_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
-  std::map<uint64_t, HashIndex> indexes_;  // mask -> index
+  // Mutable: building an index does not change the relation's contents.
+  mutable IndexList indexes_;
   // Per-position distinct-count registers over the canonical rows (plus,
   // between StageInsert and drain, nothing — staged contributions live in
   // the shards until merged).  Invalid while stats_stale_.
@@ -331,44 +396,85 @@ class FactDb {
   FactDb(const FactDb&) = delete;
   FactDb& operator=(const FactDb&) = delete;
 
-  // Deep copy of every relation (see Relation::Clone).
+  // Copy-on-write clone: shares every relation with this database by
+  // pointer, O(#relations).  Whichever database writes a shared relation
+  // first copies it, so writes to either side never show in the other.
+  // A database writes a relation in place only while it holds the last
+  // reference; when a clone lives on another thread, destroy it (or join
+  // that thread) before this database writes a relation they share.
   FactDb Clone() const;
 
-  // The relation for `pred`, created with `arity` if absent.  Aborts on an
-  // arity conflict (callers validate programs first).
+  // The relation for `pred`, created with `arity` if absent and copied
+  // first if shared.  Aborts on an arity conflict (callers validate
+  // programs first).
   Relation& GetOrCreate(const std::string& pred, size_t arity);
 
-  // nullptr if the predicate has no facts.
+  // nullptr if the predicate has no facts.  Never copies: a shared
+  // relation is read in place.
   const Relation* Get(const std::string& pred) const;
+  // For writing: copies a shared relation first (see Clone).  nullptr if
+  // the predicate has no facts.
   Relation* GetMutable(const std::string& pred);
+  // The relation if this database may write it in place, without copying;
+  // nullptr if it is absent or shared.
+  Relation* GetOwned(const std::string& pred);
 
   // Convenience: insert one fact.
   bool Add(const std::string& pred, Tuple t);
 
-  // Moves a whole relation in under `pred`; aborts if the predicate
-  // already exists.  Used to assemble a database from independently built
-  // relations (e.g. cloning a snapshot's shared per-relation encoding).
-  void Adopt(const std::string& pred, Relation rel);
+  // Shares `rel` under `pred`; aborts if the predicate already exists.
+  // The database never writes `rel` itself: the first write copies it.
+  // Used to assemble a database over relations owned elsewhere (e.g. a
+  // snapshot's per-relation encoding).
+  void Adopt(const std::string& pred, std::shared_ptr<const Relation> rel);
+  // The relation for `pred`, shared with this database (nullptr if
+  // absent).  Later writes through this database copy it first.
+  std::shared_ptr<const Relation> Share(const std::string& pred) const;
 
   std::vector<std::string> Predicates() const;
   size_t TotalFacts() const;
 
-  // Reshards every relation to `shard_count` (see Relation::Reshard) and
-  // makes it the default for relations created afterwards.
+  // Reshards every relation this database owns to `shard_count` (see
+  // Relation::Reshard) and makes it the default for relations created or
+  // copied afterwards.  Shared relations keep their layout until a write
+  // copies them.
   void ReshardAll(size_t shard_count);
   size_t default_shard_count() const { return default_shard_count_; }
 
-  // Visits every relation in predicate order.  Driver-only.
+  // Number of shared relations this database copied on a first write.
+  size_t cow_copies() const { return cow_copies_; }
+
+  // Visits every relation this database owns (may write in place), in
+  // predicate order; shared relations hold no staged tuples and are
+  // skipped.  Driver-only.
   template <typename Fn>
-  void ForEachRelation(Fn&& fn) {
-    for (auto& [pred, rel] : relations_) fn(pred, rel);
+  void ForEachOwnedRelation(Fn&& fn) {
+    for (auto& [pred, entry] : relations_) {
+      if (Owns(entry)) fn(pred, const_cast<Relation&>(*entry.rel));
+    }
   }
 
   std::string DebugString() const;
 
  private:
-  std::map<std::string, Relation> relations_;
+  struct Entry {
+    std::shared_ptr<const Relation> rel;
+    // True when a FactDb created `rel` (or copied it on a first write):
+    // the object is not const and may be written in place once this
+    // database holds the only reference.  False for adopted relations,
+    // which are never written in place.
+    bool created = false;
+  };
+
+  static bool Owns(const Entry& e) {
+    return e.created && e.rel.use_count() == 1;
+  }
+  // `e`'s relation, copied first unless this database owns it.
+  Relation& Writable(Entry& e);
+
+  std::map<std::string, Entry> relations_;
   size_t default_shard_count_ = 1;
+  size_t cow_copies_ = 0;
 };
 
 }  // namespace kgm::vadalog

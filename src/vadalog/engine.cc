@@ -44,8 +44,10 @@ struct CompiledLiteral {
   // the canonical store cannot gain relations mid-phase there, and the
   // driver refreshes the cache at every barrier; the mutating sequential
   // path re-resolves per probe because head emission can create the
-  // relation mid-join.  Relation addresses are stable (node-based map).
-  Relation* rel = nullptr;
+  // relation mid-join.  The address is stable for the whole run: Run makes
+  // every head predicate writable (copying it if shared) before anything
+  // is cached, and a relation no rule writes is never copied.
+  const Relation* rel = nullptr;
 };
 
 struct CompiledAgg {
@@ -102,10 +104,10 @@ struct CompiledRule {
   // Head relations resolved once per barrier by PrepareJoinIndexes (one
   // entry per head atom, nullptr when the relation does not exist yet) so
   // the head-satisfaction screen skips the by-name lookup on every firing.
-  // Readers fall back to FactDb::GetMutable on nullptr: a relation that
-  // appears mid-barrier (first mint into a new predicate) must be seen by
-  // the replay re-checks that follow it.
-  std::vector<Relation*> head_rels;
+  // Readers fall back to FactDb::Get on nullptr: a relation that appears
+  // mid-barrier (first mint into a new predicate) must be seen by the
+  // replay re-checks that follow it.
+  std::vector<const Relation*> head_rels;
   // True when no existential's Skolem arguments name another existential
   // of the same rule, so one firing's Skolem terms can intern as a single
   // ordered batch.
@@ -808,8 +810,8 @@ Status Engine::Impl::InsertFact(EvalContext& ctx, const std::string& pred,
   }
   if (!ctx.staged) return InsertShared(pred, std::move(t));
   // Parallel work item: dedup-on-insert into the relation's shards.  Every
-  // head predicate is pre-created in Run, so the map lookup is read-only
-  // and safe under concurrency.
+  // head predicate is pre-created and made writable in Run, so this lookup
+  // copies nothing and is read-only, hence safe under concurrency.
   Relation* rel = db->GetMutable(pred);
   KGM_CHECK(rel != nullptr);
   StageTag tag{ctx.item_index, ctx.insert_seq++};
@@ -829,10 +831,18 @@ Status Engine::Impl::Run(FactDb* target) {
   checkpoints_armed =
       options.cancel != nullptr ||
       options.deadline != std::chrono::steady_clock::time_point{};
-  // Materialize program facts and pre-create relations.
+  // Materialize program facts and pre-create relations.  Every predicate
+  // the run writes — program facts and rule heads — becomes writable here,
+  // so a relation shared with another database (a snapshot's encoding) is
+  // copied now, before PrepareJoinIndexes caches any Relation pointer.
+  // Predicates only read stay shared.
   for (const FactDecl& f : engine->program_.facts) {
     Relation& rel = db->GetOrCreate(f.predicate, f.values.size());
     rel.Insert(Tuple(f.values.begin(), f.values.end()));
+  }
+  std::set<std::string> written;
+  for (const CompiledRule& cr : compiled) {
+    for (const CompiledLiteral& h : cr.head) written.insert(h.pred);
   }
   for (const auto& [pred, n] : arity) {
     const Relation* existing = db->Get(pred);
@@ -842,7 +852,9 @@ Status Engine::Impl::Run(FactDb* target) {
                                 " but the program expects " +
                                 std::to_string(n));
     }
-    db->GetOrCreate(pred, n);
+    if (existing == nullptr || written.count(pred) > 0) {
+      db->GetOrCreate(pred, n);
+    }
   }
 
   // Decide the evaluation mode.  Skolem-mode programs (and restricted ones
@@ -913,7 +925,7 @@ Status Engine::Impl::Run(FactDb* target) {
   if (pool != nullptr) {
     std::vector<ShardCounters> by_shard;
     ShardCounters total;
-    db->ForEachRelation([&](const std::string&, Relation& rel) {
+    db->ForEachOwnedRelation([&](const std::string&, Relation& rel) {
       rel.AccumulateShardCounters(&by_shard, &total);
     });
     stats->staged_inserts = total.accepted;
@@ -1138,7 +1150,7 @@ std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
 
 void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan) {
   auto prepare = [this](CompiledLiteral& lit) {
-    lit.rel = db->GetMutable(lit.pred);
+    lit.rel = db->Get(lit.pred);
     if (lit.rel == nullptr) return;
     size_t n = lit.args.size();
     if (lit.static_mask == 0 || FullyBoundMask(lit.static_mask, n)) return;
@@ -1151,7 +1163,7 @@ void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan) {
     // e.g. a regime mismatch — degrades to a filtered scan via
     // TryLookupBuilt rather than mutating shared state.
     for (CompiledLiteral& lit : cr.positives) {
-      lit.rel = db->GetMutable(lit.pred);
+      lit.rel = db->Get(lit.pred);
     }
     for (const PlannedLiteral& pl : plan->order) {
       CompiledLiteral& lit = cr.positives[pl.literal];
@@ -1172,7 +1184,7 @@ void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan) {
   if (!cr.head_check_masks.empty()) {
     cr.head_rels.assign(cr.head.size(), nullptr);
     for (size_t i = 0; i < cr.head.size(); ++i) {
-      Relation* rel = db->GetMutable(cr.head[i].pred);
+      const Relation* rel = db->Get(cr.head[i].pred);
       cr.head_rels[i] = rel;
       uint64_t mask = cr.head_check_masks[i];
       size_t n = cr.head[i].args.size();
@@ -1248,7 +1260,7 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
     first_error = FoldItemContributions(items);
   }
   if (!first_error.ok()) {
-    db->ForEachRelation(
+    db->ForEachOwnedRelation(
         [](const std::string&, Relation& rel) { rel.DiscardStaged(); });
     return first_error;
   }
@@ -1374,7 +1386,7 @@ Status Engine::Impl::DrainStagedInserts() {
     size_t added = 0;
   };
   std::vector<Dirty> dirty;
-  db->ForEachRelation([&](const std::string& pred, Relation& rel) {
+  db->ForEachOwnedRelation([&](const std::string& pred, Relation& rel) {
     if (rel.StagedCount() > 0) {
       dirty.push_back(Dirty{&pred, &rel, rel.size()});
     }
@@ -1746,7 +1758,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   // the delta literal of a semi-naive item.
   bool is_ranged =
       is_delta || static_cast<int>(actual) == ctx.range_literal;
-  Relation* source = nullptr;
+  const Relation* source = nullptr;
   if (is_delta) {
     KGM_CHECK(cur_delta != nullptr);
     auto it = cur_delta->find(lit.pred);
@@ -1760,7 +1772,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     source = lit.rel;
     if (source == nullptr) return OkStatus();
   } else {
-    source = db->GetMutable(lit.pred);
+    source = db->Get(lit.pred);
     if (source == nullptr) return OkStatus();
   }
   // Build the bound mask and probe.  The probe is per-literal scratch: the
@@ -1943,7 +1955,7 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
         mask |= 1ULL << i;
       }
     }
-    Relation* rel = db->GetMutable(lit.pred);
+    const Relation* rel = db->Get(lit.pred);
     if (rel == nullptr) continue;  // empty relation: negation holds
     if (mask == (n < 64 ? (1ULL << n) - 1 : ~0ULL)) {
       if (rel->Contains(probe)) return OkStatus();
@@ -2225,8 +2237,9 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
     // Prefer the relation pointer cached at the last PrepareJoinIndexes; a
     // nullptr entry means the predicate may have been created mid-barrier
     // (first mint during replay), so re-resolve it.
-    Relation* rel = cr.head_rels.size() == 1 ? cr.head_rels[0] : nullptr;
-    if (rel == nullptr) rel = db->GetMutable(h.pred);
+    const Relation* rel =
+        cr.head_rels.size() == 1 ? cr.head_rels[0] : nullptr;
+    if (rel == nullptr) rel = db->Get(h.pred);
     if (rel == nullptr) return false;
     size_t n = h.args.size();
     uint64_t mask = 0;
@@ -2286,7 +2299,7 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
   std::function<bool(size_t)> solve = [&](size_t atom_index) -> bool {
     if (atom_index == cr.head.size()) return true;
     const CompiledLiteral& h = cr.head[atom_index];
-    Relation* rel = db->GetMutable(h.pred);
+    const Relation* rel = db->Get(h.pred);
     if (rel == nullptr) return false;
     size_t n = h.args.size();
     uint64_t mask = 0;

@@ -84,7 +84,7 @@ Result<std::vector<Tuple>> RunEdbLookup(const Program& program,
       db->GetOrCreate(f.predicate, f.values.size()).Insert(f.values);
     }
   }
-  Relation* rel = db->GetMutable(query.predicate);
+  const Relation* rel = db->Get(query.predicate);
   std::vector<Tuple> out;
   if (rel == nullptr) return out;
   if (rel->arity() != query.args.size()) {

@@ -14,9 +14,9 @@
 //                 every other mode against.
 //
 // All modes answer against the caller's FactDb (the serving layer passes
-// a throwaway clone of the pinned epoch snapshot) and produce answer sets
-// identical to `materialize then filter` — including Skolem terms, which
-// the rewrite pins to the original program's functors (see
+// a copy-on-write clone of the pinned epoch snapshot) and produce answer
+// sets identical to `materialize then filter` — including Skolem terms,
+// which the rewrite pins to the original program's functors (see
 // magic::PinSkolemSpecs).
 
 #ifndef KGM_VADALOG_MAGIC_POINT_QUERY_H_
@@ -70,8 +70,8 @@ struct PointQueryStats {
 };
 
 // Evaluates `query` over `program` against `db` (mutated: derived facts,
-// memo tables and program facts land in it — pass a throwaway clone for
-// isolation).  Answer tuples agree with every bound position of the
+// memo tables and program facts land in it — pass a copy-on-write clone
+// for isolation; it copies only the relations the evaluation writes).  Answer tuples agree with every bound position of the
 // binding; their order is deterministic for a given (program, db,
 // options) but differs between modes.
 Result<std::vector<Tuple>> EvalPointQuery(const Program& program,

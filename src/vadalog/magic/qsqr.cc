@@ -347,7 +347,7 @@ Status QsqrEvaluator::Impl::JoinRec(const CRule& r,
     KGM_RETURN_IF_ERROR(Solve(lit.pred, pmask, bound));
     rel_name = AnsName(lit.pred);
   }
-  Relation* rel = db->GetMutable(rel_name);
+  const Relation* rel = db->Get(rel_name);
   if (rel == nullptr) return OkStatus();
 
   // Snapshot the candidate row ids: deeper recursion may insert into this

@@ -140,7 +140,7 @@ void JoinPlanner::SetCardinalityHints(std::map<std::string, double> hints) {
 }
 
 std::vector<size_t> JoinPlanner::SizeSnapshot(
-    const RuleDesc& rule, FactDb& db, const Relation* delta_rel) const {
+    const RuleDesc& rule, const FactDb& db, const Relation* delta_rel) const {
   std::vector<size_t> sizes;
   sizes.reserve(rule.positives.size() + 1);
   for (const PlanLiteral& lit : rule.positives) {
@@ -160,11 +160,15 @@ const JoinPlan* JoinPlanner::PlanFor(size_t rule_index, PlanRegime regime,
   if (rule.positives.empty()) return nullptr;
 
   // Erases mark sketches stale; rebuild them before estimating so the
-  // planner never works from inflated distinct counts (satellite fix for
-  // EraseTuples).  Driver-only call sites guarantee no staged tuples.
+  // planner never works from inflated distinct counts.  Only relations the
+  // database owns are refreshed: a shared relation is read-only here, and
+  // refreshing it would race its other readers.  Whoever shares a relation
+  // it erased from refreshes it first (KgService::ApplyDelta,
+  // IncrementalView's full rerun).  Driver-only call sites guarantee no
+  // staged tuples.
   bool stats_refreshed = false;
   for (const PlanLiteral& lit : rule.positives) {
-    Relation* rel = db.GetMutable(lit.pred);
+    Relation* rel = db.GetOwned(lit.pred);
     if (rel != nullptr && rel->stats_stale()) {
       rel->RefreshStats();
       stats_refreshed = true;
@@ -208,7 +212,7 @@ const JoinPlan* JoinPlanner::PlanFor(size_t rule_index, PlanRegime regime,
 }
 
 JoinPlan JoinPlanner::BuildPlan(const RuleDesc& rule, PlanRegime regime,
-                                int delta_literal, FactDb& db,
+                                int delta_literal, const FactDb& db,
                                 const Relation* delta_rel) const {
   const size_t n = rule.positives.size();
   std::vector<LitInfo> infos(n);

@@ -195,9 +195,9 @@ class JoinPlanner {
   };
 
   JoinPlan BuildPlan(const RuleDesc& rule, PlanRegime regime,
-                     int delta_literal, FactDb& db,
+                     int delta_literal, const FactDb& db,
                      const Relation* delta_rel) const;
-  std::vector<size_t> SizeSnapshot(const RuleDesc& rule, FactDb& db,
+  std::vector<size_t> SizeSnapshot(const RuleDesc& rule, const FactDb& db,
                                    const Relation* delta_rel) const;
 
   PlanMode mode_;

@@ -6,7 +6,9 @@
 
 #include "service/service.h"
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +152,105 @@ TEST(ServiceStressTest, TinyQueueUnderLoadConservesRequests) {
   EXPECT_EQ(stats.queue_rejected, rejected.load());
   EXPECT_EQ(stats.queries_ok, ok.load());
   EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+// Uncached point queries with different bound masks share one epoch's
+// relations, so their first probes race to build the same lazy indexes,
+// while a writer keeps publishing delta epochs whose LINK relation is a
+// clone of the previous one (made while those builds run).  Every delta
+// deletes and re-inserts one LINK row, leaving the contents unchanged, so
+// every answer must equal the one computed single-threaded on a separate
+// service.  Run under TSan via tools/check.sh.
+TEST(ServiceStressTest, PointQueriesRaceSharedIndexBuildsAndDeltas) {
+  constexpr size_t kChainEdges = 40;
+  const pg::PropertyGraph graph = GraphForEpoch(kChainEdges - kBaseEdges);
+
+  const char kHop[] =
+      "LINK(e, x, y) -> hop(x, y).\n"
+      "hop(x, y), LINK(e, y, z) -> hop(x, z).";
+  KgService reference;
+  reference.Publish(graph.Clone());
+  const vadalog::Relation& link =
+      *reference.CurrentSnapshot()->facts.at("LINK");
+  auto request = [&](const std::string& output,
+                     std::vector<std::optional<Value>> bound) {
+    QueryRequest r;
+    r.program = kHop;
+    r.language = QueryLanguage::kVadalog;
+    r.output = output;
+    r.use_result_cache = false;
+    r.bound_args = std::move(bound);
+    return r;
+  };
+  const Value mid_from = link.tuple(kChainEdges / 2)[1];
+  const Value mid_to = link.tuple(kChainEdges / 2)[2];
+  const std::vector<QueryRequest> requests = {
+      request("hop", {link.tuple(0)[1], std::nullopt}),    // magic, bf
+      request("hop", {std::nullopt, mid_to}),              // magic, fb
+      request("hop", {mid_from, std::nullopt}),            // magic, bf
+      request("LINK", {std::nullopt, mid_from, std::nullopt}),  // EDB, from
+      request("LINK", {std::nullopt, std::nullopt, mid_to}),    // EDB, to
+  };
+  auto sorted_rows = [](const QueryResult& result) {
+    std::vector<vadalog::Tuple> rows = *result.rows;
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  std::vector<std::vector<vadalog::Tuple>> expected;
+  for (const QueryRequest& r : requests) {
+    auto result = reference.Execute(r);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->rows->empty()) << r.output;
+    expected.push_back(sorted_rows(*result));
+  }
+
+  KgServiceOptions options;
+  options.num_workers = 4;
+  options.queue_capacity = 64;
+  KgService svc(options);
+  svc.Publish(graph.Clone());
+  vadalog::EdbDelta same_contents;
+  same_contents.deletes["LINK"].push_back(link.tuple(1));
+  same_contents.inserts["LINK"].push_back(link.tuple(1));
+
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 4;
+  std::atomic<bool> go{false};
+  std::atomic<size_t> clients_done{0};
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (size_t i = 0; i < kRounds * requests.size(); ++i) {
+        const size_t which = (c + i) % requests.size();
+        auto result = svc.Query(requests[which]);
+        if (!result.ok()) {
+          failures.fetch_add(1);
+        } else if (sorted_rows(*result) != expected[which]) {
+          mismatches.fetch_add(1);
+        }
+      }
+      clients_done.fetch_add(1);
+    });
+  }
+  size_t deltas = 0;
+  threads.emplace_back([&] {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    while (clients_done.load() < kClients) {
+      if (!svc.ApplyDelta(same_contents).ok()) failures.fetch_add(1);
+      ++deltas;
+    }
+  });
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(deltas, 0u);
+  EXPECT_EQ(svc.Stats().cow_relation_copies, 0u);
+  EXPECT_EQ(svc.Stats().queries_ok, kClients * kRounds * requests.size());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include "service/service.h"
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "vadalog/parser.h"
 
 namespace kgm::service {
 namespace {
@@ -531,6 +534,179 @@ TEST(ServiceTest, PointQueryResultCacheKeysOnBindingAndRoute) {
   EXPECT_FALSE(unbound->result_cache_hit);
   EXPECT_EQ(unbound->point_mode, vadalog::magic::PointQueryMode::kOff);
   EXPECT_GT(unbound->rows->size(), first->rows->size());
+}
+
+// ------------------------------------------------- Copy-on-write snapshots
+
+// Pointer, version and content fingerprint of every snapshot relation.
+struct RelationState {
+  const vadalog::Relation* ptr;
+  uint64_t version;
+  uint64_t content_hash;
+  bool operator==(const RelationState&) const = default;
+};
+
+std::map<std::string, RelationState> StateOf(const Snapshot& snap) {
+  std::map<std::string, RelationState> out;
+  for (const auto& [pred, rel] : snap.facts) {
+    out.emplace(pred,
+                RelationState{rel.get(), rel->version(), rel->content_hash()});
+  }
+  return out;
+}
+
+TEST(ServiceTest, QueriesReadSnapshotRelationsInPlace) {
+  KgService svc;
+  svc.Publish(ChainGraph(8));
+  std::shared_ptr<const Snapshot> snap = svc.CurrentSnapshot();
+  const std::map<std::string, RelationState> before = StateOf(*snap);
+  const Value source = snap->facts.at("LINK")->tuple(0)[1];
+
+  // An uncached magic point query: the evaluation's database reads every
+  // snapshot relation in place, since no rule writes one.
+  auto program = vadalog::ParseProgram(HopClosureRequest().program);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  vadalog::FactDb db = snap->CloneFacts();
+  vadalog::magic::PointQueryStats pq_stats;
+  auto answers = vadalog::magic::EvalPointQuery(
+      *program, {"hop", {source, std::nullopt}}, &db, {}, &pq_stats);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(pq_stats.mode, vadalog::magic::PointQueryMode::kMagic);
+  EXPECT_EQ(answers->size(), 7u);
+  for (const auto& [pred, rel] : snap->facts) {
+    EXPECT_EQ(db.Get(pred), rel.get()) << pred;
+  }
+  EXPECT_EQ(db.cow_copies(), 0u);
+
+  // A MetaLog read deriving a new label shares them the same way.
+  auto compiled = svc.prepared_cache().Compile(kCopyLinks, snap->catalog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  vadalog::FactDb meta_db = snap->CloneFacts();
+  vadalog::Engine engine((*compiled)->program);
+  ASSERT_TRUE(engine.Run(&meta_db).ok());
+  for (const auto& [pred, rel] : snap->facts) {
+    EXPECT_EQ(meta_db.Get(pred), rel.get()) << pred;
+  }
+  EXPECT_EQ(meta_db.cow_copies(), 0u);
+
+  // The same two queries through the service leave every snapshot
+  // relation as it was: same object, same version, same contents.
+  QueryRequest point = HopClosureRequest();
+  point.use_result_cache = false;
+  point.bound_args = {source, std::nullopt};
+  ASSERT_TRUE(svc.Query(point).ok());
+  QueryRequest meta = CopyLinksRequest();
+  meta.use_result_cache = false;
+  ASSERT_TRUE(svc.Query(meta).ok());
+  EXPECT_EQ(svc.CurrentSnapshot(), snap);
+  EXPECT_TRUE(StateOf(*snap) == before);
+}
+
+TEST(ServiceTest, DerivingIntoAnExtensionalLabelCopiesOnlyThatRelation) {
+  KgService svc;
+  svc.Publish(ChainGraph(5));
+  std::shared_ptr<const Snapshot> snap = svc.CurrentSnapshot();
+  const std::map<std::string, RelationState> before = StateOf(*snap);
+
+  // Closes LINK over itself: 4 chain edges become all 10 forward pairs.
+  QueryRequest request;
+  request.program = "LINK(e, x, y), LINK(f, y, z) -> LINK(e, x, z).";
+  request.language = QueryLanguage::kVadalog;
+  request.output = "LINK";
+  request.use_result_cache = false;
+  auto closed = svc.Query(request);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->rows->size(), 10u);
+  EXPECT_EQ(svc.Stats().cow_relation_copies, 1u);
+
+  // The snapshot still holds the 4 published edges, and the next query
+  // sees exactly those.
+  EXPECT_TRUE(StateOf(*snap) == before);
+  EXPECT_EQ(snap->facts.at("LINK")->size(), 4u);
+  auto copied = svc.Query(CopyLinksRequest());
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(copied->rows->size(), 4u);
+  auto again = svc.Query(request);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->rows->size(), 10u);
+  EXPECT_EQ(svc.Stats().cow_relation_copies, 2u);
+}
+
+TEST(ServiceTest, CountersShowNoCopiesAndOneIndexBuildPerMask) {
+  KgService svc;
+  svc.Publish(ChainGraph(10));
+  // Publication builds no index; queries build them on first use.
+  EXPECT_EQ(svc.Stats().shared_index_builds, 0u);
+
+  // Pinned: the delta below retires epoch 1, whose LINK rows we keep using.
+  std::shared_ptr<const Snapshot> first = svc.CurrentSnapshot();
+  const vadalog::Relation& link = *first->facts.at("LINK");
+  auto reach = [&](size_t row) {
+    QueryRequest request = HopClosureRequest();
+    request.use_result_cache = false;
+    request.bound_args = {link.tuple(row)[1], std::nullopt};
+    auto result = svc.Query(request);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->point_mode, vadalog::magic::PointQueryMode::kMagic);
+  };
+  reach(0);
+  const uint64_t builds = svc.Stats().shared_index_builds;
+  EXPECT_GE(builds, 1u);
+  // Later reach queries, same bound mask, reuse the indexes.
+  for (size_t row = 1; row < 5; ++row) reach(row);
+  StatsSnapshot stats = svc.Stats();
+  EXPECT_EQ(stats.shared_index_builds, builds);
+  EXPECT_EQ(stats.cow_relation_copies, 0u);
+
+  // A new mask on LINK (bound target) builds exactly one more index, once.
+  QueryRequest lookup;
+  lookup.program = HopClosureRequest().program;
+  lookup.language = QueryLanguage::kVadalog;
+  lookup.output = "LINK";
+  lookup.use_result_cache = false;
+  lookup.bound_args = {std::nullopt, std::nullopt, link.tuple(3)[2]};
+  for (int i = 0; i < 3; ++i) {
+    auto result = svc.Query(lookup);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->point_mode, vadalog::magic::PointQueryMode::kEdbLookup);
+    EXPECT_EQ(result->rows->size(), 1u);
+  }
+  stats = svc.Stats();
+  EXPECT_EQ(stats.shared_index_builds, builds + 1);
+  EXPECT_EQ(stats.cow_relation_copies, 0u);
+  std::string json = stats.ToJson();
+  EXPECT_NE(json.find("\"cow_relation_copies\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"shared_index_builds\":" +
+                      std::to_string(builds + 1)),
+            std::string::npos)
+      << json;
+
+  // A delta epoch's LINK is a clone that inherits the built indexes, so
+  // the same queries on it build nothing.
+  ASSERT_TRUE(svc.ApplyDelta(OneLinkDelta(*svc.CurrentSnapshot())).ok());
+  const uint64_t delta_builds = svc.Stats().shared_index_builds;
+  for (size_t row = 1; row < 3; ++row) {
+    QueryRequest request = HopClosureRequest();
+    request.use_result_cache = false;
+    request.bound_args = {link.tuple(row + 3)[1], std::nullopt};
+    ASSERT_TRUE(svc.Query(request).ok());
+  }
+  ASSERT_TRUE(svc.Query(lookup).ok());
+  EXPECT_EQ(svc.Stats().shared_index_builds, delta_builds);
+  EXPECT_EQ(svc.Stats().cow_relation_copies, 0u);
+}
+
+TEST(ServiceTest, DeltaEpochRelationsNeverHaveStaleStatistics) {
+  KgService svc;
+  svc.Publish(ChainGraph(6));
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(svc.ApplyDelta(OneLinkDelta(*svc.CurrentSnapshot())).ok());
+    std::shared_ptr<const Snapshot> snap = svc.CurrentSnapshot();
+    ASSERT_TRUE(snap->is_delta);
+    for (const auto& [pred, rel] : snap->facts) {
+      EXPECT_FALSE(rel->stats_stale()) << pred << " at epoch " << snap->epoch;
+    }
+  }
 }
 
 }  // namespace

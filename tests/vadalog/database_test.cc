@@ -1,5 +1,9 @@
 #include "vadalog/database.h"
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace kgm::vadalog {
@@ -259,6 +263,141 @@ TEST(RelationShardTest, CloneIsDeepAndIndependent) {
   EXPECT_TRUE(copy.Insert(T({100, 200})));
   EXPECT_FALSE(rel.Contains(T({100, 200})));
   EXPECT_EQ(rel.size(), 50u);
+}
+
+TEST(FactDbTest, CloneIsCopyOnWriteBothWays) {
+  FactDb db;
+  db.Add("p", T({1}));
+  db.Add("q", T({2}));
+  FactDb copy = db.Clone();
+  // The clone shares every relation by pointer.
+  EXPECT_EQ(copy.Get("p"), db.Get("p"));
+  EXPECT_EQ(copy.Get("q"), db.Get("q"));
+
+  // Writing the clone copies only the relation written.
+  const Relation* shared_p = db.Get("p");
+  copy.Add("p", T({9}));
+  EXPECT_NE(copy.Get("p"), shared_p);
+  EXPECT_EQ(db.Get("p"), shared_p);
+  EXPECT_EQ(db.Get("p")->size(), 1u);
+  EXPECT_FALSE(db.Get("p")->Contains(T({9})));
+  EXPECT_EQ(copy.Get("p")->size(), 2u);
+  EXPECT_EQ(copy.Get("q"), db.Get("q"));
+  EXPECT_EQ(copy.cow_copies(), 1u);
+
+  // Writing the source copies too: the clone keeps the old contents.
+  const Relation* shared_q = db.Get("q");
+  db.Add("q", T({7}));
+  EXPECT_NE(db.Get("q"), shared_q);
+  EXPECT_EQ(copy.Get("q"), shared_q);
+  EXPECT_EQ(copy.Get("q")->size(), 1u);
+  EXPECT_FALSE(copy.Get("q")->Contains(T({7})));
+  EXPECT_EQ(db.cow_copies(), 1u);
+
+  // Each side now owns its copy and writes it in place.
+  db.Add("q", T({8}));
+  copy.Add("p", T({10}));
+  EXPECT_EQ(db.cow_copies(), 1u);
+  EXPECT_EQ(copy.cow_copies(), 1u);
+}
+
+TEST(FactDbTest, LastHolderWritesInPlace) {
+  FactDb db;
+  db.Add("p", T({1}));
+  const Relation* before = db.Get("p");
+  { FactDb copy = db.Clone(); }
+  db.Add("p", T({2}));
+  EXPECT_EQ(db.Get("p"), before);
+  EXPECT_EQ(db.cow_copies(), 0u);
+}
+
+TEST(FactDbTest, AdoptedRelationIsReadInPlaceAndCopiedOnWrite) {
+  auto base = std::make_shared<Relation>(1);
+  base->Insert(T({1}));
+  std::shared_ptr<const Relation> shared = base;
+  base.reset();
+  FactDb db;
+  db.Adopt("p", shared);
+  EXPECT_EQ(db.Get("p"), shared.get());
+  EXPECT_EQ(db.GetOwned("p"), nullptr);
+  EXPECT_EQ(db.Share("p"), shared);
+
+  db.Add("p", T({2}));
+  EXPECT_NE(db.Get("p"), shared.get());
+  EXPECT_EQ(db.cow_copies(), 1u);
+  EXPECT_EQ(shared->size(), 1u);
+  EXPECT_EQ(db.Get("p")->size(), 2u);
+  EXPECT_EQ(db.GetOwned("p"), db.Get("p"));
+
+  // An adopted relation is never written in place, even as the last
+  // reference: the owner may have made it a const object.
+  FactDb other;
+  other.Adopt("p", std::move(shared));
+  other.Add("p", T({3}));
+  EXPECT_EQ(other.cow_copies(), 1u);
+}
+
+TEST(FactDbTest, ReshardAllLeavesSharedRelationsUntilWritten) {
+  FactDb db;
+  db.Add("p", T({1}));
+  FactDb copy = db.Clone();
+  copy.ReshardAll(4);
+  EXPECT_EQ(copy.Get("p"), db.Get("p"));
+  EXPECT_EQ(copy.Get("p")->shard_count(), 1u);
+  copy.Add("p", T({2}));
+  EXPECT_EQ(copy.Get("p")->shard_count(), 4u);
+  EXPECT_EQ(db.Get("p")->shard_count(), 1u);
+}
+
+TEST(RelationIndexTest, CloneInheritsIndexesWithoutCountingBuilds) {
+  Relation rel(2);
+  for (int64_t i = 0; i < 20; ++i) rel.Insert(T({i % 4, i}));
+  Tuple probe = T({1, 0});
+  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 5u);
+  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 5u);
+  EXPECT_EQ(rel.index_builds(), 1u);
+
+  Relation copy = rel.Clone();
+  EXPECT_EQ(copy.index_builds(), 0u);
+  ASSERT_NE(copy.TryLookupBuilt(0b01, probe), nullptr);
+  EXPECT_EQ(copy.TryLookupBuilt(0b01, probe)->size(), 5u);
+  // The copy's index is its own: inserts into it do not reach the source.
+  EXPECT_TRUE(copy.Insert(T({1, 100})));
+  EXPECT_EQ(copy.Lookup(0b01, probe).size(), 6u);
+  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 5u);
+}
+
+// Concurrent readers of one shared relation race to build each index: every
+// mask is built exactly once and every probe sees the complete index.  Run
+// under TSan via tools/check.sh.
+TEST(RelationIndexTest, ConcurrentLazyBuildsPublishOneIndexPerMask) {
+  auto rel = std::make_shared<Relation>(3);
+  for (int64_t i = 0; i < 2000; ++i) rel->Insert(T({i % 7, i % 11, i}));
+  std::shared_ptr<const Relation> shared = rel;
+  const std::vector<uint64_t> masks = {0b001, 0b010, 0b011, 0b101};
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  std::vector<size_t> bad(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        uint64_t mask = masks[(t + round) % masks.size()];
+        Tuple probe = T({round % 7, round % 11, round});
+        size_t hits = 0;
+        for (uint32_t row : shared->Lookup(mask, probe)) {
+          if (shared->MatchesMasked(row, mask, probe)) ++hits;
+        }
+        size_t expect = 0;
+        for (size_t row = 0; row < shared->size(); ++row) {
+          if (shared->MatchesMasked(row, mask, probe)) ++expect;
+        }
+        if (hits != expect) ++bad[t];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[t], 0u) << t;
+  EXPECT_EQ(shared->index_builds(), masks.size());
 }
 
 TEST(FactDbTest, CloneCopiesEveryRelation) {
