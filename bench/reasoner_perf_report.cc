@@ -5,12 +5,9 @@
 // Usage: reasoner_perf_report [output.json] [companies] [persons]
 // Default output file: BENCH_reasoner.json in the working directory.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,9 +16,7 @@
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
 #include "instance/pipeline.h"
-#include "metalog/catalog.h"
 #include "vadalog/engine.h"
-#include "vadalog/magic/point_query.h"
 #include "vadalog/parser.h"
 
 namespace {
@@ -166,6 +161,8 @@ int main(int argc, char** argv) {
   JsonWriter w{f};
   w.Open(nullptr, '{');
   w.Field("benchmark", "reasoner_intensional_suite");
+  w.Field("host_cpus",
+          static_cast<size_t>(std::thread::hardware_concurrency()));
   w.Field("companies", static_cast<size_t>(config.num_companies));
   w.Field("persons", static_cast<size_t>(config.num_persons));
   w.Field("holdings", net.holdings().size());
@@ -217,234 +214,6 @@ int main(int argc, char** argv) {
   }
   w.Close(']');
 
-  // Cost-based join planning on the two hot intensional components.  Each
-  // (component, threads) cell materializes a fresh instance twice — plan
-  // off and greedy — with the OWNS prerequisite materialized plan-off and
-  // single-threaded on both sides, so the probe/wall-clock deltas attribute
-  // to planning alone.  `estimate_ratio` is the estimator's own account of
-  // probes (sum over plans of est_probes * uses) against the probes the
-  // engine actually performed.  The instance is FIXED (independent of the
-  // argv sweep size): probe counts are deterministic per (instance,
-  // threads, plan_mode), so the reduction percentages are directly
-  // comparable across hosts and PRs.
-  finkg::GeneratorConfig planner_config;
-  planner_config.num_companies = 400;
-  planner_config.num_persons = 600;
-  planner_config.seed = 2022;
-  finkg::ShareholdingNetwork planner_net =
-      finkg::ShareholdingNetwork::Generate(planner_config);
-  struct PlannerStep {
-    const char* name;
-    const char* program;
-  };
-  const PlannerStep planner_steps[] = {
-      {"stakeholders", finkg::kStakeholdersProgram},
-      {"close_links", finkg::kCloseLinksProgram},
-  };
-  const size_t planner_threads[] = {1, 4};
-  double best_reduction[2] = {0, 0};  // parallel to planner_steps
-  w.Open("planner", '{');
-  w.Field("companies", static_cast<size_t>(planner_config.num_companies));
-  w.Field("persons", static_cast<size_t>(planner_config.num_persons));
-  w.Field("note",
-          "off/greedy pairs share the instance and prerequisites; output is "
-          "bit-identical by the planner determinism contract (enforced by "
-          "vadalog_planner_test), so rows differ only in evaluation cost");
-  w.Open("runs", '[');
-  for (size_t step_i = 0; step_i < 2; ++step_i) {
-    const PlannerStep& step = planner_steps[step_i];
-    for (size_t threads : planner_threads) {
-      double off_seconds = 0;
-      size_t off_probes = 0;
-      for (int greedy = 0; greedy < 2; ++greedy) {
-        pg::PropertyGraph data = planner_net.ToInstanceGraph();
-        instance::MaterializeOptions prereq;
-        prereq.engine.num_threads = 1;
-        auto pre =
-            instance::Materialize(schema, finkg::kOwnsProgram, &data, prereq);
-        if (!pre.ok()) {
-          std::fprintf(stderr, "planner prereq failed: %s\n",
-                       pre.status().ToString().c_str());
-          std::fclose(f);
-          return 1;
-        }
-        instance::MaterializeOptions options;
-        options.engine.num_threads = threads;
-        options.engine.plan_mode = greedy != 0 ? vadalog::PlanMode::kGreedy
-                                               : vadalog::PlanMode::kOff;
-        auto stats = instance::Materialize(schema, step.program, &data,
-                                           options);
-        if (!stats.ok()) {
-          std::fprintf(stderr, "planner %s failed: %s\n", step.name,
-                       stats.status().ToString().c_str());
-          std::fclose(f);
-          return 1;
-        }
-        const auto& es = stats->engine_stats;
-        double est_probes_total = 0;
-        for (const auto& p : es.rule_plans) {
-          est_probes_total += p.plan.est_probes * static_cast<double>(p.uses);
-        }
-        w.Open(nullptr, '{');
-        w.Field("component", step.name);
-        w.Field("threads", threads);
-        w.Field("plan_mode", greedy != 0 ? "greedy" : "off");
-        w.Field("reason_seconds", stats->reason_seconds);
-        w.Field("join_probes", es.join_probes);
-        w.Field("rule_firings", es.rule_firings);
-        w.Field("facts_derived", es.facts_derived);
-        if (greedy != 0) {
-          w.Field("plans_built", es.plans_built);
-          w.Field("plans_reordered", es.plans_reordered);
-          w.Field("plan_cache_hits", es.plan_cache_hits);
-          w.Field("plan_replans", es.plan_replans);
-          w.Field("est_probes_saved", es.est_probes_saved);
-          w.Field("est_probes_total", est_probes_total);
-          w.Field("estimate_ratio",
-                  es.join_probes > 0
-                      ? est_probes_total / static_cast<double>(es.join_probes)
-                      : 0.0);
-          const double reduction =
-              off_probes > 0
-                  ? 100.0 * (1.0 - static_cast<double>(es.join_probes) /
-                                       static_cast<double>(off_probes))
-                  : 0.0;
-          best_reduction[step_i] = std::max(best_reduction[step_i], reduction);
-          w.Field("probe_reduction_pct", reduction);
-          if (stats->reason_seconds > 0) {
-            w.Field("speedup_vs_off", off_seconds / stats->reason_seconds);
-          }
-        } else {
-          off_seconds = stats->reason_seconds;
-          off_probes = es.join_probes;
-        }
-        w.Close('}');
-      }
-    }
-  }
-  w.Close(']');
-
-  // Binding-cone hints through the magic point-query route: the same
-  // bound closure query runs plan_mode greedy and greedy_typed over a
-  // shared ownership encoding.  Plain greedy costs every magic-guarded
-  // relation at the zero rows it holds at first-plan time, so its plans
-  // claim ~free probes and pick scans; greedy_typed costs them with
-  // EstimateBindingCones priors instead.  Answers are identical by the
-  // determinism contract (vadalog_typeflow_test enforces it); the rows
-  // record, per mode, the actual probes and the planner's own estimated
-  // cost of the magic-guarded rules against their written order.
-  {
-    metalog::GraphCatalog pq_catalog = instance::SchemaCatalog(schema);
-    vadalog::FactDb pq_base = metalog::EncodeGraph(
-        planner_net.ToOwnershipGraph(/*include_persons=*/true), pq_catalog);
-    // The recursive body deliberately leads with the wide EDB literal:
-    // the written order is a full OWNS scan per magic tuple, so a planner
-    // that costs the magic-guarded rule correctly must reorder it.
-    const char* reach_src =
-        "@input(\"OWNS\").\n"
-        "OWNS(_e, x, y, _w) -> reach(x, y).\n"
-        "OWNS(_e, y, z, _w), reach(x, y) -> reach(x, z).\n"
-        "@output(\"reach\").\n";
-    auto reach = vadalog::ParseProgram(reach_src);
-    const vadalog::Relation* owns_rel = pq_base.Get("OWNS");
-    if (reach.ok() && owns_rel != nullptr && owns_rel->size() > 0) {
-      // Seed the query from the highest-out-degree owner so the bound
-      // cone is deep enough to exercise the recursive rule.
-      std::map<Value, size_t> out_degree;
-      for (size_t i = 0; i < owns_rel->size(); ++i) {
-        ++out_degree[owns_rel->tuple(i)[1]];
-      }
-      Value seed = owns_rel->tuple(0)[1];
-      size_t best_degree = 0;
-      for (const auto& [v, n] : out_degree) {
-        if (n > best_degree) {
-          best_degree = n;
-          seed = v;
-        }
-      }
-      vadalog::magic::QueryBinding query;
-      query.predicate = "reach";
-      query.args = {seed, std::nullopt};
-      w.Open("typed_point_query", '{');
-      w.Field("component", "reach_closure");
-      w.Field("query", query.Render().c_str());
-      w.Open("runs", '[');
-      size_t probes[2] = {0, 0};
-      size_t answers[2] = {0, 0};
-      for (int typed = 0; typed < 2; ++typed) {
-        vadalog::FactDb db = pq_base.Clone();
-        vadalog::magic::PointQueryOptions pq;
-        pq.engine.num_threads = 1;
-        pq.engine.plan_mode = typed != 0 ? vadalog::PlanMode::kGreedyTyped
-                                         : vadalog::PlanMode::kGreedy;
-        vadalog::magic::PointQueryStats stats;
-        auto rows =
-            vadalog::magic::EvalPointQuery(*reach, query, &db, pq, &stats);
-        if (!rows.ok()) {
-          std::fprintf(stderr, "typed point query failed: %s\n",
-                       rows.status().ToString().c_str());
-          std::fclose(f);
-          return 1;
-        }
-        probes[typed] = stats.engine.join_probes;
-        answers[typed] = rows->size();
-        // The magic-guarded rules are the ones probing a magic relation
-        // (their planned literals include an m@... predicate).
-        size_t guarded_planned = 0;
-        size_t guarded_cheaper_than_written = 0;
-        double guarded_est = 0;
-        double guarded_est_written = 0;
-        for (const auto& p : stats.engine.rule_plans) {
-          bool guarded = false;
-          for (const std::string& pred : p.preds) {
-            guarded |= pred.rfind("m@", 0) == 0;
-          }
-          if (!guarded) continue;
-          ++guarded_planned;
-          guarded_est += p.plan.est_probes * static_cast<double>(p.uses);
-          guarded_est_written +=
-              p.plan.est_probes_written * static_cast<double>(p.uses);
-          if (p.plan.est_probes < p.plan.est_probes_written) {
-            ++guarded_cheaper_than_written;
-          }
-        }
-        w.Open(nullptr, '{');
-        w.Field("plan_mode", typed != 0 ? "greedy_typed" : "greedy");
-        w.Field("mode", vadalog::magic::PointQueryModeName(stats.mode));
-        w.Field("answers", answers[typed]);
-        w.Field("join_probes", stats.engine.join_probes);
-        w.Field("plans_built", stats.engine.plans_built);
-        w.Field("plans_reordered", stats.engine.plans_reordered);
-        w.Field("guarded_rules_planned", guarded_planned);
-        w.Field("guarded_rules_cheaper_than_written",
-                guarded_cheaper_than_written);
-        w.Field("guarded_est_probes", guarded_est);
-        w.Field("guarded_est_probes_written", guarded_est_written);
-        if (guarded_est_written > 0) {
-          w.Field("guarded_planned_cost_reduction_pct",
-                  100.0 * (1.0 - guarded_est / guarded_est_written));
-        }
-        w.Close('}');
-      }
-      w.Close(']');
-      w.Field("answers_identical", answers[0] == answers[1] ? 1.0 : 0.0);
-      if (probes[0] > 0) {
-        w.Field("probe_reduction_pct",
-                100.0 * (1.0 - static_cast<double>(probes[1]) /
-                                   static_cast<double>(probes[0])));
-      }
-      w.Close('}');
-    }
-  }
-
-  // Acceptance headline: the best probe reduction per component across the
-  // thread sweep (the PR 7 bar is >= 30% on close_links).
-  w.Open("summary", '{');
-  w.Field("stakeholders_best_probe_reduction_pct", best_reduction[0]);
-  w.Field("close_links_best_probe_reduction_pct", best_reduction[1]);
-  w.Close('}');
-  w.Close('}');
-
   // Restricted chase with existentials: the pre-barrier eager sequential
   // chase (in-binary via legacy_sequential_chase; also what an 8-thread
   // request used to fall back to) vs the deterministic barrier chase at 1
@@ -485,8 +254,6 @@ int main(int argc, char** argv) {
   w.Field("nodes", chase_nodes);
   w.Field("edges", chase_edges);
   w.Field("reps", static_cast<size_t>(kChaseReps));
-  w.Field("host_cpus",
-          static_cast<size_t>(std::thread::hardware_concurrency()));
   w.Field("note",
           "baseline is the pre-barrier eager sequential chase "
           "(legacy_sequential_chase), which is also what a multi-thread "

@@ -35,21 +35,14 @@
 //       Print the typeflow abstract interpretation's inferred signatures —
 //       per predicate position a value-kind set narrowed by intervals and
 //       constants — plus any typeflow findings.
-//   kgmctl explain [--json] [--threads N] <program>...
-//       Evaluate each program against a demo Company-KG instance twice —
-//       plan_mode off and greedy — print the cost-based join plans the
-//       planner chose (order, index-vs-scan, estimates, probe savings),
-//       and verify the two materializations are bit-identical.  Programs
-//       run in the given order against one shared instance, so
-//       prerequisites compose (e.g. `explain owns.mlog closelinks.mlog`).
-//       Exit code 1 if any differential fails.
 //   kgmctl query [--json] [--threads N] [--output PRED] --bound a1,a2,... <program>
-//       Answer a point query against the same demo instance `explain`
-//       uses: the binding (CSV of constants, `_` = free position) routes
-//       the evaluation through the magic-sets rewrite / QSQR dispatcher.
+//       Answer a point query against a demo Company-KG instance: the
+//       binding (CSV of constants, `_` = free position) routes the
+//       evaluation through the magic-sets rewrite / QSQR dispatcher.
 //       Prints the chosen route, the rewrite summary (adorned and magic
 //       predicates, full-evaluation predicates) and the probe cost next
-//       to the materialize-then-filter baseline.
+//       to the materialize-then-filter baseline.  Exit code 1 if the
+//       routed answers differ from the baseline's as a set.
 //
 // Run: build/examples/kgmctl <command> ...
 
@@ -57,6 +50,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -88,7 +82,6 @@
 #include "translate/validate.h"
 #include "vadalog/magic/point_query.h"
 #include "vadalog/parser.h"
-#include "vadalog/planner.h"
 #include "vadalog/typeflow.h"
 
 namespace {
@@ -108,7 +101,6 @@ int Usage() {
                "[--schema company|none] <file>...\n"
                "  kgmctl analyze [--json] [--vadalog|--metalog] "
                "[--schema company|none] <file>...\n"
-               "  kgmctl explain [--json] [--threads N] <program>...\n"
                "  kgmctl query [--json] [--threads N] [--output PRED] "
                "--bound a1,a2,... <program>\n");
   return 2;
@@ -782,282 +774,20 @@ int CmdAnalyze(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// explain: evaluate each program twice — plan_mode off and greedy — against
-// a demo Company-KG instance, print the join plans the planner chose, and
-// verify the two materializations are bit-identical (the planner's
-// determinism contract, checked end to end rather than assumed).
-
-uint64_t Fnv1a(const std::string& text, uint64_t hash) {
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::string HashHex(uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-// One evaluation of a program: the engine counters plus a fingerprint of
-// the materialized result (CSV export for MetaLog, FactDb dump for
-// Vadalog) — equal fingerprints mean bit-identical output.
-struct ExplainRun {
-  vadalog::EngineStats stats;
-  std::string fingerprint;
-};
-
-constexpr uint64_t kFnvBasis = 1469598103934665603ull;
-
-Status ExplainMetaLog(const core::SuperSchema& schema,
-                      const std::string& source, vadalog::PlanMode mode,
-                      size_t threads, pg::PropertyGraph* graph,
-                      ExplainRun* out) {
-  instance::MaterializeOptions options;
-  options.engine.num_threads = threads;
-  options.engine.plan_mode = mode;
-  KGM_ASSIGN_OR_RETURN(auto stats,
-                       instance::Materialize(schema, source, graph, options));
-  out->stats = stats.engine_stats;
-  KGM_ASSIGN_OR_RETURN(auto files, translate::ExportCsv(schema, *graph));
-  uint64_t hash = kFnvBasis;
-  for (const auto& [name, content] : files) {
-    hash = Fnv1a(name, hash);
-    hash = Fnv1a(content, hash);
-  }
-  out->fingerprint = HashHex(hash);
-  return OkStatus();
-}
-
-Status ExplainVadalog(const std::string& source, vadalog::PlanMode mode,
-                      size_t threads, vadalog::FactDb db, ExplainRun* out) {
-  KGM_ASSIGN_OR_RETURN(vadalog::Program program,
-                       vadalog::ParseProgram(source));
-  vadalog::EngineOptions options;
-  options.num_threads = threads;
-  options.plan_mode = mode;
-  vadalog::Engine engine(std::move(program), options);
-  KGM_RETURN_IF_ERROR(engine.status());
-  KGM_RETURN_IF_ERROR(engine.Run(&db));
-  out->stats = engine.stats();
-  out->fingerprint = HashHex(Fnv1a(db.DebugString(), kFnvBasis));
-  return OkStatus();
-}
-
-double ProbeReductionPct(const vadalog::EngineStats& off,
-                         const vadalog::EngineStats& greedy) {
-  if (off.join_probes == 0) return 0;
-  return 100.0 * (1.0 - static_cast<double>(greedy.join_probes) /
-                            static_cast<double>(off.join_probes));
-}
-
-void PrintExplainText(const std::string& path, const char* language,
-                      size_t threads, bool identical, const ExplainRun& off,
-                      const ExplainRun& greedy) {
-  std::printf("== %s  %s  threads=%zu ==\n", path.c_str(), language, threads);
-  if (identical) {
-    std::printf("differential: identical (fnv1a %s)\n",
-                off.fingerprint.c_str());
-  } else {
-    std::printf("differential: MISMATCH off=%s greedy=%s\n",
-                off.fingerprint.c_str(), greedy.fingerprint.c_str());
-  }
-  std::printf("probes: off=%zu greedy=%zu (%.1f%% fewer)\n",
-              off.stats.join_probes, greedy.stats.join_probes,
-              ProbeReductionPct(off.stats, greedy.stats));
-  std::printf(
-      "planner: built=%zu reordered=%zu cache_hits=%zu replans=%zu "
-      "est_probes_saved=%.3g\n",
-      greedy.stats.plans_built, greedy.stats.plans_reordered,
-      greedy.stats.plan_cache_hits, greedy.stats.plan_replans,
-      greedy.stats.est_probes_saved);
-  for (const vadalog::PlanSnapshot& p : greedy.stats.rule_plans) {
-    std::printf("  rule %-3d %-15s", p.rule_index,
-                vadalog::PlanRegimeName(p.regime));
-    if (p.delta_literal >= 0) std::printf(" delta=%d", p.delta_literal);
-    std::printf("  %s  est %.3g -> %.3g  uses=%zu replans=%zu\n",
-                p.plan.reordered ? "reordered" : "written-order",
-                p.plan.est_probes_written, p.plan.est_probes, p.uses,
-                p.replans);
-    std::printf("   ");
-    for (size_t i = 0; i < p.plan.order.size(); ++i) {
-      const vadalog::PlannedLiteral& lit = p.plan.order[i];
-      std::printf(" %s#%zu(%s, est %.3g)", p.preds[i].c_str(), lit.literal,
-                  lit.use_index ? "index" : "scan", lit.est_rows);
-    }
-    std::printf("\n");
-  }
-}
-
-void AppendExplainJson(std::ostringstream& out, const std::string& path,
-                       const char* language, size_t threads, bool identical,
-                       const ExplainRun& off, const ExplainRun& greedy) {
-  out << "{\"file\":\"" << JsonEscape(path) << "\"";
-  out << ",\"language\":\"" << language << "\"";
-  out << ",\"threads\":" << threads;
-  out << ",\"identical\":" << (identical ? "true" : "false");
-  out << ",\"fingerprint_off\":\"" << off.fingerprint << "\"";
-  out << ",\"fingerprint_greedy\":\"" << greedy.fingerprint << "\"";
-  out << ",\"probes\":{\"off\":" << off.stats.join_probes
-      << ",\"greedy\":" << greedy.stats.join_probes << ",\"reduction_pct\":"
-      << ProbeReductionPct(off.stats, greedy.stats) << "}";
-  out << ",\"planner\":{\"plans_built\":" << greedy.stats.plans_built
-      << ",\"plans_reordered\":" << greedy.stats.plans_reordered
-      << ",\"cache_hits\":" << greedy.stats.plan_cache_hits
-      << ",\"replans\":" << greedy.stats.plan_replans
-      << ",\"est_probes_saved\":" << greedy.stats.est_probes_saved << "}";
-  out << ",\"plans\":[";
-  for (size_t pi = 0; pi < greedy.stats.rule_plans.size(); ++pi) {
-    const vadalog::PlanSnapshot& p = greedy.stats.rule_plans[pi];
-    if (pi > 0) out << ",";
-    out << "{\"rule\":" << p.rule_index << ",\"regime\":\""
-        << vadalog::PlanRegimeName(p.regime) << "\""
-        << ",\"delta_literal\":" << p.delta_literal
-        << ",\"reordered\":" << (p.plan.reordered ? "true" : "false")
-        << ",\"est_probes\":" << p.plan.est_probes
-        << ",\"est_probes_written\":" << p.plan.est_probes_written
-        << ",\"est_firings\":" << p.plan.est_firings << ",\"uses\":" << p.uses
-        << ",\"replans\":" << p.replans << ",\"order\":[";
-    for (size_t i = 0; i < p.plan.order.size(); ++i) {
-      const vadalog::PlannedLiteral& lit = p.plan.order[i];
-      if (i > 0) out << ",";
-      out << "{\"pred\":\"" << JsonEscape(p.preds[i]) << "\",\"literal\":"
-          << lit.literal << ",\"index\":" << (lit.use_index ? "true" : "false")
-          << ",\"est_rows\":" << lit.est_rows << "}";
-    }
-    out << "]}";
-  }
-  out << "]}";
-}
-
-int CmdExplain(int argc, char** argv) {
-  bool json = false;
-  size_t threads = 2;
-  std::vector<std::string> files;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) return Usage();
-      threads = std::strtoul(argv[++i], nullptr, 10);
-      if (threads == 0) threads = 1;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "kgmctl explain: unknown flag %s\n", arg.c_str());
-      return Usage();
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.empty()) return Usage();
-
-  // A small deterministic instance: big enough that the statistics make
-  // label scans and relationship probes clearly asymmetric, small enough
-  // that every program pair runs in seconds.
-  core::SuperSchema schema = finkg::CompanyKgSchema();
-  finkg::GeneratorConfig config;
-  config.num_companies = 100;
-  config.num_persons = 150;
-  config.seed = 2022;
-  finkg::ShareholdingNetwork net =
-      finkg::ShareholdingNetwork::Generate(config);
-  // Two instances evolved in lockstep: MetaLog programs enrich both (one
-  // with planning off, one greedy), so later programs see their
-  // prerequisites and every step is differentially checked.
-  pg::PropertyGraph off_graph = net.ToInstanceGraph();
-  pg::PropertyGraph greedy_graph = net.ToInstanceGraph();
-
-  bool all_identical = true;
-  std::ostringstream json_out;
-  json_out << "[";
-  bool first = true;
-  for (const std::string& path : files) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "kgmctl explain: cannot read %s\n", path.c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string source = buffer.str();
-    const bool vlog = path.ends_with(".vlog") || path.ends_with(".vdl");
-
-    ExplainRun off;
-    ExplainRun greedy;
-    Status s_off, s_greedy;
-    if (vlog) {
-      // Vadalog programs run read-only over the relational encoding of the
-      // current instance; they do not advance the shared graphs.
-      s_off = ExplainVadalog(
-          source, vadalog::PlanMode::kOff, threads,
-          metalog::EncodeGraph(off_graph,
-                               metalog::GraphCatalog::FromGraph(off_graph)),
-          &off);
-      s_greedy = ExplainVadalog(
-          source, vadalog::PlanMode::kGreedy, threads,
-          metalog::EncodeGraph(
-              greedy_graph, metalog::GraphCatalog::FromGraph(greedy_graph)),
-          &greedy);
-    } else {
-      s_off = ExplainMetaLog(schema, source, vadalog::PlanMode::kOff, threads,
-                             &off_graph, &off);
-      s_greedy = ExplainMetaLog(schema, source, vadalog::PlanMode::kGreedy,
-                                threads, &greedy_graph, &greedy);
-    }
-    if (!s_off.ok() || !s_greedy.ok()) {
-      std::fprintf(stderr, "kgmctl explain: %s failed: %s\n", path.c_str(),
-                   (!s_off.ok() ? s_off : s_greedy).ToString().c_str());
-      return 1;
-    }
-    const bool identical = off.fingerprint == greedy.fingerprint;
-    all_identical = all_identical && identical;
-    if (json) {
-      if (!first) json_out << ",";
-      AppendExplainJson(json_out, path, vlog ? "vadalog" : "metalog", threads,
-                        identical, off, greedy);
-    } else {
-      PrintExplainText(path, vlog ? "vadalog" : "metalog", threads, identical,
-                       off, greedy);
-      std::printf("\n");
-    }
-    first = false;
-  }
-  if (json) {
-    json_out << "]";
-    std::printf("%s\n", json_out.str().c_str());
-  }
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "kgmctl explain: planner output diverged from plan-off\n");
-    return 1;
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
 // query: answer one bound-argument (point) query against a demo instance,
 // showing which route the dispatcher picked and — when the magic-sets
 // rewrite ran — an explain-style summary of the rewrite (adorned
 // predicates, magic predicates, predicates forced to full evaluation) and
-// the probe cost next to the materialize-then-filter baseline.
+// the probe cost next to the materialize-then-filter baseline.  The
+// routed answers must equal the baseline's as a set (magic-sets vs
+// materialize differential).
+
+// Sorted, duplicate-free copy of `rows`, for set comparison.
+std::vector<vadalog::Tuple> AnswerSet(std::vector<vadalog::Tuple> rows) {
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
 
 int CmdQuery(int argc, char** argv) {
   bool json = false;
@@ -1106,8 +836,8 @@ int CmdQuery(int argc, char** argv) {
   const std::string source = buffer.str();
   const bool vlog = path.ends_with(".vlog") || path.ends_with(".vdl");
 
-  // The same demo instance `kgmctl explain` uses, with the aggregated
-  // OWNS layer merged in so ownership-closure programs (reach.vlog,
+  // A small deterministic demo instance, with the aggregated OWNS layer
+  // merged in so ownership-closure programs (reach.vlog,
   // control, close links) have their extensional input without a prior
   // owns materialization.
   finkg::GeneratorConfig config;
@@ -1203,6 +933,7 @@ int CmdQuery(int argc, char** argv) {
                  baseline.status().ToString().c_str());
     return 1;
   }
+  const bool answers_match = AnswerSet(*answers) == AnswerSet(*baseline);
   const double ratio =
       stats.engine.join_probes > 0
           ? static_cast<double>(base_stats.engine.join_probes) /
@@ -1211,30 +942,31 @@ int CmdQuery(int argc, char** argv) {
 
   if (json) {
     std::ostringstream out;
-    out << "{\"file\":\"" << JsonEscape(path) << "\"";
-    out << ",\"query\":\"" << JsonEscape(query.Render()) << "\"";
+    out << "{\"file\":\"" << lint::JsonEscape(path) << "\"";
+    out << ",\"query\":\"" << lint::JsonEscape(query.Render()) << "\"";
     out << ",\"mode\":\""
         << vadalog::magic::PointQueryModeName(stats.mode) << "\"";
     out << ",\"fallback\":\""
         << vadalog::magic::FallbackReasonName(stats.fallback) << "\"";
     if (!stats.fallback_detail.empty()) {
-      out << ",\"fallback_detail\":\"" << JsonEscape(stats.fallback_detail)
-          << "\"";
+      out << ",\"fallback_detail\":\""
+          << lint::JsonEscape(stats.fallback_detail) << "\"";
     }
     out << ",\"answers\":" << stats.answers;
+    out << ",\"answers_match\":" << (answers_match ? "true" : "false");
     out << ",\"adorned\":[";
     for (size_t i = 0; i < stats.adorned.size(); ++i) {
       if (i > 0) out << ",";
-      out << "{\"pred\":\"" << JsonEscape(stats.adorned[i].pred)
+      out << "{\"pred\":\"" << lint::JsonEscape(stats.adorned[i].pred)
           << "\",\"adornment\":\"" << stats.adorned[i].adornment
-          << "\",\"magic\":\"" << JsonEscape(stats.adorned[i].magic_pred)
+          << "\",\"magic\":\"" << lint::JsonEscape(stats.adorned[i].magic_pred)
           << "\"}";
     }
     out << "]";
     out << ",\"full_required\":[";
     for (size_t i = 0; i < stats.full_required.size(); ++i) {
       if (i > 0) out << ",";
-      out << "\"" << JsonEscape(stats.full_required[i]) << "\"";
+      out << "\"" << lint::JsonEscape(stats.full_required[i]) << "\"";
     }
     out << "]";
     out << ",\"rewrites\":" << stats.engine.magic_rewrites;
@@ -1281,6 +1013,13 @@ int CmdQuery(int argc, char** argv) {
       std::printf("  ... (%zu more)\n", answers->size() - kMaxRows);
     }
   }
+  if (!answers_match) {
+    std::fprintf(stderr,
+                 "kgmctl query: %s answers differ from the materialize "
+                 "baseline (%zu routed, %zu baseline)\n",
+                 query.Render().c_str(), answers->size(), baseline->size());
+    return 1;
+  }
   return 0;
 }
 
@@ -1298,7 +1037,6 @@ int main(int argc, char** argv) {
   if (command == "serve") return CmdServe(argc, argv);
   if (command == "lint") return CmdLint(argc, argv);
   if (command == "analyze") return CmdAnalyze(argc, argv);
-  if (command == "explain") return CmdExplain(argc, argv);
   if (command == "query") return CmdQuery(argc, argv);
   return Usage();
 }

@@ -46,7 +46,7 @@ struct Snapshot {
   // Relational encoding of `graph` per `catalog`, one immutable relation
   // per predicate, precomputed so queries share it instead of re-encoding
   // the graph per request.  Delta snapshots alias unchanged relations with
-  // the previous epoch.  No relation here has stale statistics.
+  // the previous epoch.
   std::map<std::string, std::shared_ptr<const vadalog::Relation>> facts;
 
   // True when this epoch was produced by ApplyDelta: `facts` has diverged

@@ -190,21 +190,6 @@ struct ReplayOp {
   std::vector<char> bound;            // kCandidate: bound-mask snapshot
 };
 
-// One complete body match of a rule evaluated under a REORDERED join plan,
-// recorded instead of finishing inline.  `key` is the matched row id per
-// positive literal in WRITTEN order: a written-order join enumerates
-// firings in exactly the lexicographic order of these keys (it recurses
-// per literal over ascending row ids), and a reordered join over the same
-// frozen sources finds the same firing set — so sorting the collected
-// firings by key and flushing them through FinishBinding reproduces the
-// written-order emission sequence bit for bit.  Keys are unique: the rows
-// fully determine the binding.
-struct CollectedFiring {
-  std::vector<uint32_t> key;
-  std::vector<Value> slots;
-  std::vector<char> bound;
-};
-
 // Per-evaluation binding and output state.  Sequential evaluation uses a
 // single driver context writing straight into the FactDb; parallel work
 // items each own a context that stages derived facts into the sharded
@@ -278,21 +263,6 @@ struct EvalContext {
   // recursion occupies one depth per literal, so frames never alias).
   std::vector<Tuple> join_probes;
 
-  // Cost-based join plan for this evaluation (vadalog/planner.h); nullptr
-  // = written order.  Set by the driver at item creation (PlanFor is
-  // driver-only); Join maps recursion depth d to plan->order[d].literal.
-  const JoinPlan* plan = nullptr;
-  // True while evaluating a REORDERED plan: Join records complete matches
-  // into `collected` (keyed by written-order row ids) instead of calling
-  // FinishBinding inline; the driver sorts and flushes them afterwards,
-  // restoring the written-order emission sequence.  Identity-order plans
-  // (index-vs-scan selection only) skip the collect machinery — scan and
-  // index-bucket row orders are both ascending, so they already enumerate
-  // firings in written order.
-  bool collect = false;
-  std::vector<uint32_t> match_rows;  // scratch: row id per written literal
-  std::vector<CollectedFiring> collected;
-
   // Stratified (non-monotonic) aggregation state of this evaluation.
   std::unordered_map<Tuple, GroupState, TupleHashFn> eval_groups;
   std::vector<Tuple> eval_group_order;
@@ -346,14 +316,6 @@ struct Engine::Impl {
   // True when the run has a deadline or a cancellation flag to poll.
   bool checkpoints_armed = false;
 
-  // Cost-based join planner (EngineOptions::plan_mode == kGreedy); null =
-  // written-order evaluation.  Greedy runs always use the frozen parallel
-  // driver — even at one worker, where items run inline — because the
-  // mutating sequential path sees mid-join insertions and would enumerate
-  // a different firing set than the plan-order restoration assumes.
-  std::unique_ptr<JoinPlanner> planner;
-  void BuildPlanner();
-
   // Cooperative deadline/cancellation poll.  Called at stratum and batch
   // boundaries, at every fixpoint iteration, and (rate-limited) from the
   // join loops; safe on pool threads.
@@ -398,9 +360,6 @@ struct Engine::Impl {
   Status EvalRule(EvalContext& ctx, CompiledRule& cr, int delta_literal);
   Status Join(EvalContext& ctx, CompiledRule& cr, size_t literal_index,
               int delta_literal);
-  // Sorts the firings a reordered join collected and runs FinishBinding on
-  // each in ascending written-order key — the exact off-mode sequence.
-  Status FlushCollected(EvalContext& ctx, CompiledRule& cr);
   Status FinishBinding(EvalContext& ctx, CompiledRule& cr);
   Status ProcessAggregates(EvalContext& ctx, CompiledRule& cr);
   Status ApplyContribution(CompiledRule& cr, const CompiledAgg& agg,
@@ -428,7 +387,7 @@ struct Engine::Impl {
   };
   std::vector<std::vector<CompiledRule*>> IndependentBatches(
       const std::vector<CompiledRule*>& rules) const;
-  void PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan = nullptr);
+  void PrepareJoinIndexes(CompiledRule& cr);
   size_t PartitionCount(size_t rows) const;
   // Barrier-chase dedup policy carried across barriers: stays true while
   // worker-side signature dedup pays for itself (see RunItems).
@@ -886,11 +845,6 @@ Status Engine::Impl::Run(FactDb* target) {
   }
   if (num_workers > 1) pool = std::make_unique<ThreadPool>(num_workers);
   stats->threads_used = num_workers;
-  // Cost-based join planning; the legacy eager chase keeps its historical
-  // written-order evaluation (it exists as an exact in-binary baseline).
-  if (options.plan_mode != PlanMode::kOff && !legacy_active) {
-    BuildPlanner();
-  }
   if (pool != nullptr && !barrier_chase) {
     // Spread the dedup tables over enough shards that concurrent StageInsert
     // calls rarely collide on a lock.  Barrier-chase runs skip resharding:
@@ -936,71 +890,14 @@ Status Engine::Impl::Run(FactDb* target) {
       stats->inserts_by_shard[i] = by_shard[i].accepted;
     }
   }
-  if (planner != nullptr) {
-    stats->planner_enabled = true;
-    stats->plans_built = planner->plans_built();
-    stats->plans_reordered = planner->plans_reordered();
-    stats->plan_cache_hits = planner->cache_hits();
-    stats->plan_replans = planner->replans();
-    stats->rule_plans = planner->Snapshot();
-    for (const PlanSnapshot& ps : stats->rule_plans) {
-      stats->est_probes_saved +=
-          (ps.plan.est_probes_written - ps.plan.est_probes) *
-          static_cast<double>(ps.uses);
-    }
-  }
   return OkStatus();
-}
-
-void Engine::Impl::BuildPlanner() {
-  std::vector<RuleDesc> descs;
-  descs.reserve(compiled.size());
-  for (const CompiledRule& cr : compiled) {
-    RuleDesc d;
-    d.rule_index = cr.index;
-    for (const CompiledLiteral& lit : cr.positives) {
-      PlanLiteral pl;
-      pl.pred = lit.pred;
-      pl.args.reserve(lit.args.size());
-      for (const ArgSlot& a : lit.args) {
-        pl.args.push_back(PlanArg{a.is_const, a.slot});
-      }
-      d.positives.push_back(std::move(pl));
-    }
-    for (const CompiledLiteral& h : cr.head) d.head_preds.push_back(h.pred);
-    // Reordering is admissible when the collect-and-flush restoration
-    // applies cleanly: at least two positive literals (else there is
-    // nothing to reorder), no aggregates (their fold order is the firing
-    // order, which restoration preserves, but deferring every contribution
-    // through the collect buffer buys nothing — and stratified finalize
-    // interleaves with the join), and not a restricted-chase existential
-    // rule (the barrier protocol's frozen screen + ordered replay is
-    // conservative about firing order; Skolem-mode existentials are fine —
-    // their terms are content-addressed).  Ineligible rules still get
-    // order-neutral index-vs-scan selection on the written order.
-    d.reorderable =
-        cr.positives.size() >= 2 && cr.aggregates.empty() &&
-        !(options.chase_mode == ChaseMode::kRestricted &&
-          !cr.existentials.empty());
-    descs.push_back(std::move(d));
-  }
-  planner =
-      std::make_unique<JoinPlanner>(options.plan_mode, std::move(descs));
-  if (options.plan_mode == PlanMode::kGreedyTyped &&
-      options.cardinality_hints != nullptr) {
-    planner->SetCardinalityHints(*options.cardinality_hints);
-  }
 }
 
 Status Engine::Impl::EvalStratum(int stratum,
                                  const std::vector<CompiledRule*>& rules) {
   // The barrier chase always uses the parallel driver — with pool == null
   // its work items run inline, keeping the frozen-iteration semantics (and
-  // hence minted null ids) identical at every thread count.  Plan mode does
-  // NOT change the driver: bit-identity to plan-off is a per-thread-count
-  // contract, so greedy single-threaded runs use the same live sequential
-  // driver plan-off uses (with the live plan regimes, which never reorder
-  // self-feeding calls), and pooled runs plan the frozen regimes.
+  // hence minted null ids) identical at every thread count.
   return (pool != nullptr || barrier_chase)
              ? EvalStratumParallel(stratum, rules)
              : EvalStratumSequential(stratum, rules);
@@ -1022,18 +919,9 @@ Status Engine::Impl::EvalStratumSequential(
 
   EvalContext ctx;
 
-  // Phase A: every rule once, full mode.  Live plan regimes: head facts are
-  // inserted mid-call, so kFullLive never reorders a rule that reads its
-  // own head predicate (the planner keeps such calls in written order —
-  // cascaded firings discovered through live index growth stay identical
-  // to plan-off), and reordered rules restore written-order emission via
-  // collect-and-flush in EvalRule.
+  // Phase A: every rule once, full mode.
   for (CompiledRule* cr : rules) {
     KGM_RETURN_IF_ERROR(Checkpoint());
-    ctx.plan = planner != nullptr
-                   ? planner->PlanFor(cr->index, PlanRegime::kFullLive,
-                                      /*delta_literal=*/-1, *db, nullptr)
-                   : nullptr;
     Status status = EvalRule(ctx, *cr, /*delta_literal=*/-1);
     FlushCtxStats(ctx, *cr);
     KGM_RETURN_IF_ERROR(status);
@@ -1063,18 +951,6 @@ Status Engine::Impl::EvalStratumSequential(
     for (CompiledRule* cr : rec_rules) {
       for (size_t li = 0; li < cr->positives.size(); ++li) {
         if (!cr->positives[li].recursive) continue;
-        // kDeltaScanLive: the delta literal enumerates an immutable
-        // snapshot, so it carries no pin and may move; only live-read
-        // head-predicate literals force written order.
-        ctx.plan = nullptr;
-        if (planner != nullptr) {
-          auto dit = cur_delta->find(cr->positives[li].pred);
-          if (dit != cur_delta->end()) {
-            ctx.plan =
-                planner->PlanFor(cr->index, PlanRegime::kDeltaScanLive,
-                                 static_cast<int>(li), *db, &dit->second);
-          }
-        }
         Status status = EvalRule(ctx, *cr, static_cast<int>(li));
         FlushCtxStats(ctx, *cr);
         KGM_RETURN_IF_ERROR(status);
@@ -1148,7 +1024,7 @@ std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
   return out;
 }
 
-void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan) {
+void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr) {
   auto prepare = [this](CompiledLiteral& lit) {
     lit.rel = db->Get(lit.pred);
     if (lit.rel == nullptr) return;
@@ -1156,24 +1032,7 @@ void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan) {
     if (lit.static_mask == 0 || FullyBoundMask(lit.static_mask, n)) return;
     lit.rel->EnsureIndex(lit.static_mask);
   };
-  if (plan != nullptr) {
-    // Planned evaluation: resolve every positive's relation but build only
-    // the masks the plan will actually probe (a literal planned as a scan
-    // needs no index).  A plan-mode Join that misses an index anyway —
-    // e.g. a regime mismatch — degrades to a filtered scan via
-    // TryLookupBuilt rather than mutating shared state.
-    for (CompiledLiteral& lit : cr.positives) {
-      lit.rel = db->Get(lit.pred);
-    }
-    for (const PlannedLiteral& pl : plan->order) {
-      CompiledLiteral& lit = cr.positives[pl.literal];
-      if (lit.rel == nullptr || !pl.use_index) continue;
-      if (pl.mask == 0 || FullyBoundMask(pl.mask, lit.args.size())) continue;
-      lit.rel->EnsureIndex(pl.mask);
-    }
-  } else {
-    for (CompiledLiteral& lit : cr.positives) prepare(lit);
-  }
+  for (CompiledLiteral& lit : cr.positives) prepare(lit);
   for (CompiledLiteral& lit : cr.negatives) prepare(lit);
   // Barrier chase: pre-build the head-satisfaction probe indexes so the
   // frozen screen in the workers is read-only (if a mask is missing
@@ -1556,22 +1415,10 @@ Status Engine::Impl::EvalStratumParallel(
   // sequential enumeration order.
   for (std::vector<CompiledRule*>& batch : IndependentBatches(rules)) {
     KGM_RETURN_IF_ERROR(Checkpoint());
-    // Plans are fetched at the barrier (PlanFor is driver-only; it may
-    // refresh stale statistics) and handed to the items; kFull keeps
-    // written literal 0 outermost, so the scan partitioning below — and
-    // with it the cross-item emission order — is identical to plan-off.
-    std::vector<const JoinPlan*> plans(batch.size(), nullptr);
-    for (size_t b = 0; b < batch.size(); ++b) {
-      if (planner != nullptr) {
-        plans[b] = planner->PlanFor(batch[b]->index, PlanRegime::kFull,
-                                    /*delta_literal=*/-1, *db, nullptr);
-      }
-      PrepareJoinIndexes(*batch[b], plans[b]);
-    }
+    for (CompiledRule* cr : batch) PrepareJoinIndexes(*cr);
     std::deque<WorkItem> items;
     std::vector<CompiledRule*> stratified;
-    for (size_t b = 0; b < batch.size(); ++b) {
-      CompiledRule* cr = batch[b];
+    for (CompiledRule* cr : batch) {
       bool defer = !cr->aggregates.empty();
       if (defer && !AllMonotonic(*cr)) stratified.push_back(cr);
       if (cr->positives.empty()) {
@@ -1596,7 +1443,6 @@ Status Engine::Impl::EvalStratumParallel(
         item.ctx.delta_begin = begin;
         item.ctx.delta_end = std::min(rows, begin + chunk);
         item.ctx.defer_aggregates = defer;
-        item.ctx.plan = plans[b];
       }
     }
     KGM_RETURN_IF_ERROR(RunItems(items));
@@ -1639,30 +1485,12 @@ Status Engine::Impl::EvalStratumParallel(
       const CompiledLiteral& lit = cr->positives[li];
       auto dit = cur_delta->find(lit.pred);
       if (dit == cur_delta->end()) continue;
-      // Plan the iteration: kDeltaScan pins the delta literal outermost
-      // (its size anchors the estimate) and the delta-row partitioning
-      // below stays identical to plan-off, so item boundaries — and hence
-      // (item, seq) staging tags — do not depend on the plan.
-      const JoinPlan* plan =
-          planner != nullptr
-              ? planner->PlanFor(cr->index, PlanRegime::kDeltaScan, li, *db,
-                                 &dit->second)
-              : nullptr;
       // Indexes on the database relations this rule probes (no-ops after
       // the first iteration: Insert maintains built indexes), and on the
       // fresh delta relation when the delta literal itself is probed.
-      PrepareJoinIndexes(*cr, plan);
+      PrepareJoinIndexes(*cr);
       size_t n = lit.args.size();
-      if (plan != nullptr) {
-        for (const PlannedLiteral& pl : plan->order) {
-          if (pl.literal != static_cast<size_t>(li) || !pl.use_index) {
-            continue;
-          }
-          if (pl.mask != 0 && !FullyBoundMask(pl.mask, n)) {
-            dit->second.EnsureIndex(pl.mask);
-          }
-        }
-      } else if (lit.static_mask != 0 && !FullyBoundMask(lit.static_mask, n)) {
+      if (lit.static_mask != 0 && !FullyBoundMask(lit.static_mask, n)) {
         dit->second.EnsureIndex(lit.static_mask);
       }
       size_t rows = dit->second.size();
@@ -1677,7 +1505,6 @@ Status Engine::Impl::EvalStratumParallel(
         item.ctx.delta_begin = begin;
         item.ctx.delta_end = std::min(rows, begin + chunk);
         item.ctx.defer_aggregates = !cr->aggregates.empty();
-        item.ctx.plan = plan;
       }
     }
     Status status = RunItems(items);
@@ -1708,21 +1535,7 @@ Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
     ctx.eval_groups.clear();
     ctx.eval_group_order.clear();
   }
-  // A reordered plan enumerates the same firing set in a different order;
-  // collect the matches and flush them in written-order key order so every
-  // emission happens in exactly the off-mode sequence.  Identity-order
-  // plans finish inline — scan and index-bucket orders are both ascending,
-  // so their enumeration already matches written order.
-  bool collect = ctx.plan != nullptr && ctx.plan->reordered;
-  ctx.collect = collect;
-  if (collect) {
-    ctx.match_rows.assign(cr.positives.size(), 0);
-    ctx.collected.clear();
-  }
   KGM_RETURN_IF_ERROR(Join(ctx, cr, 0, delta_literal));
-  if (collect) {
-    KGM_RETURN_IF_ERROR(FlushCollected(ctx, cr));
-  }
   if (stratified_inline) {
     KGM_RETURN_IF_ERROR(FinalizeStratifiedAggregates(ctx, cr));
   }
@@ -1732,32 +1545,14 @@ Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
 Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
                           size_t literal_index, int delta_literal) {
   if (literal_index == cr.positives.size()) {
-    if (ctx.collect) {
-      // Reordered plan: defer the finish; FlushCollected restores the
-      // written-order emission sequence after the join completes.
-      ctx.collected.push_back(CollectedFiring{ctx.match_rows, ctx.slots,
-                                              ctx.bound});
-      if (ctx.collected.size() > options.max_facts) {
-        return ResourceExhausted(
-            "collected firings exceed the fact budget (" +
-            std::to_string(options.max_facts) + ")");
-      }
-      return OkStatus();
-    }
     return FinishBinding(ctx, cr);
   }
-  // Under a plan, recursion depth d evaluates literal plan->order[d];
-  // everything below keys on the ACTUAL written literal index (delta /
-  // range checks, probe scratch, row bookkeeping).
-  const PlannedLiteral* planned =
-      ctx.plan != nullptr ? &ctx.plan->order[literal_index] : nullptr;
-  const size_t actual = planned != nullptr ? planned->literal : literal_index;
-  const CompiledLiteral& lit = cr.positives[actual];
-  bool is_delta = static_cast<int>(actual) == delta_literal;
+  const CompiledLiteral& lit = cr.positives[literal_index];
+  bool is_delta = static_cast<int>(literal_index) == delta_literal;
   // Scan-partitioned literals (Phase A) are range-restricted exactly like
   // the delta literal of a semi-naive item.
   bool is_ranged =
-      is_delta || static_cast<int>(actual) == ctx.range_literal;
+      is_delta || static_cast<int>(literal_index) == ctx.range_literal;
   const Relation* source = nullptr;
   if (is_delta) {
     KGM_CHECK(cur_delta != nullptr);
@@ -1785,7 +1580,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   if (ctx.join_probes.size() < cr.positives.size()) {
     ctx.join_probes.resize(cr.positives.size());
   }
-  Tuple& probe = ctx.join_probes[actual];
+  Tuple& probe = ctx.join_probes[literal_index];
   probe.clear();
   probe.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -1849,58 +1644,34 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     ++ctx.probes;
     size_t row = source->RowOf(probe);
     if (row != Relation::kNoRow && row >= range_begin && row < range_end) {
-      if (ctx.collect) ctx.match_rows[actual] = static_cast<uint32_t>(row);
       return Join(ctx, cr, literal_index + 1, delta_literal);
     }
     return OkStatus();
   }
-  // Index-vs-scan: the plan's per-literal choice is trusted when the
-  // dynamic mask matches the planned one (it always does under a
-  // regime-consistent plan); on a mismatch, default to the index.
-  bool use_index =
-      mask != 0 &&
-      (planned == nullptr || planned->mask != mask || planned->use_index);
-  if (use_index) {
-    const std::vector<uint32_t>* rows_ptr;
-    if (!ctx.frozen_db) {
-      rows_ptr = &source->Lookup(mask, probe);
-    } else if (ctx.plan != nullptr) {
-      // Plan-mode frozen probes tolerate a missing index (a mask the
-      // barrier did not pre-build, e.g. after a regime mismatch): fall
-      // back to the filtered scan below instead of CHECK-failing or
-      // mutating shared state.
-      rows_ptr = source->TryLookupBuilt(mask, probe);
-    } else {
-      rows_ptr = &source->LookupBuilt(mask, probe);
-    }
-    if (rows_ptr != nullptr) {
-      const std::vector<uint32_t>& rows = *rows_ptr;
-      // Lookup results can grow while we iterate if the same relation
-      // receives inserts from head emission; index by position
-      // defensively.
-      for (size_t k = 0; k < rows.size(); ++k) {
-        uint32_t rowi = rows[k];
-        if (rowi < range_begin || rowi >= range_end) continue;
-        ++ctx.probes;
-        if (!source->MatchesMasked(rowi, mask, probe)) continue;
-        if (ctx.collect) ctx.match_rows[actual] = rowi;
-        if (ctx.frozen_db) {
-          KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
-        } else {
-          Tuple row = source->tuple(rowi);
-          KGM_RETURN_IF_ERROR(try_row(row));
-        }
+  if (mask != 0) {
+    const std::vector<uint32_t>& rows = ctx.frozen_db
+                                            ? source->LookupBuilt(mask, probe)
+                                            : source->Lookup(mask, probe);
+    // Lookup results can grow while we iterate if the same relation
+    // receives inserts from head emission; index by position defensively.
+    for (size_t k = 0; k < rows.size(); ++k) {
+      uint32_t rowi = rows[k];
+      if (rowi < range_begin || rowi >= range_end) continue;
+      ++ctx.probes;
+      if (!source->MatchesMasked(rowi, mask, probe)) continue;
+      if (ctx.frozen_db) {
+        KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
+      } else {
+        Tuple row = source->tuple(rowi);
+        KGM_RETURN_IF_ERROR(try_row(row));
       }
-      return OkStatus();
     }
+    return OkStatus();
   }
-  // Full or filtered scan: mask == 0, a plan that chose the scan, or a
-  // missing planned index.  try_row re-validates constants and bound
-  // slots, so scanning with a nonzero mask is correct, just unindexed.
+  // Full scan (mask == 0).
   size_t scan_end = std::min(source->size(), range_end);
   for (size_t k = range_begin; k < scan_end; ++k) {
     ++ctx.probes;
-    if (ctx.collect) ctx.match_rows[actual] = static_cast<uint32_t>(k);
     if (ctx.frozen_db) {
       KGM_RETURN_IF_ERROR(try_row(source->tuple(k)));
     } else {
@@ -1909,30 +1680,6 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     }
   }
   return OkStatus();
-}
-
-Status Engine::Impl::FlushCollected(EvalContext& ctx, CompiledRule& cr) {
-  ctx.collect = false;
-  if (ctx.collected.empty()) return OkStatus();
-  // Keys are unique (the matched rows determine the binding), so a plain
-  // sort yields exactly the written-order enumeration sequence.
-  std::sort(ctx.collected.begin(), ctx.collected.end(),
-            [](const CollectedFiring& a, const CollectedFiring& b) {
-              return a.key < b.key;
-            });
-  Status status = OkStatus();
-  for (CollectedFiring& f : ctx.collected) {
-    if (checkpoints_armed && (++ctx.checkpoint_tick & 0x3FFF) == 0) {
-      status = Checkpoint();
-      if (!status.ok()) break;
-    }
-    ctx.slots = std::move(f.slots);
-    ctx.bound = std::move(f.bound);
-    status = FinishBinding(ctx, cr);
-    if (!status.ok()) break;
-  }
-  ctx.collected.clear();
-  return status;
 }
 
 Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
@@ -2603,14 +2350,6 @@ DeltaEvaluator::DeltaEvaluator(Engine* engine, FactDb* db)
   // Sequential, mutating evaluation: no pool, no staging, no barrier chase.
   state_->impl.db = db;
   state_->impl.num_workers = 1;
-  // Rule-at-a-time calls still benefit from planning: EvalRuleDelta joins
-  // are kDeltaPrebound plans (delta variables bound up front).  The
-  // database is stable during each call, so the deferred collect-and-flush
-  // restoration applies exactly as in the frozen driver.
-  if (state_->init.ok() &&
-      engine->options_.plan_mode != PlanMode::kOff) {
-    state_->impl.BuildPlanner();
-  }
 }
 
 DeltaEvaluator::~DeltaEvaluator() = default;
@@ -2632,18 +2371,6 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
 
   impl.cur_delta = &delta_rels;
   impl.emit_override = emit;
-  // Plan once per call: the delta literal's variables are pre-bound, so a
-  // kDeltaPrebound plan orders the REMAINING literals by selectivity.  The
-  // database is not mutated during the call (emissions go through `emit`),
-  // so per-row collect-and-flush restores the written-order emission
-  // sequence exactly.
-  const JoinPlan* plan =
-      impl.planner != nullptr
-          ? impl.planner->PlanFor(rule_index, PlanRegime::kDeltaPrebound,
-                                  static_cast<int>(literal_index), *impl.db,
-                                  &delta_rel)
-          : nullptr;
-  bool collect = plan != nullptr && plan->reordered;
   Status status = OkStatus();
   // Enumerate the delta outermost, pre-binding the delta literal's
   // variables, so Join probes the other literals through their indexes on
@@ -2660,9 +2387,6 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
     ctx.rule = &cr;
     ctx.slots.assign(cr.slot_names.size(), Value());
     ctx.bound.assign(cr.slot_names.size(), 0);
-    ctx.plan = plan;
-    ctx.collect = collect;
-    if (collect) ctx.match_rows.assign(cr.positives.size(), 0);
     bool ok = true;
     for (size_t i = 0; i < lit.args.size() && ok; ++i) {
       const ArgSlot& a = lit.args[i];
@@ -2679,7 +2403,6 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
     }
     if (!ok) continue;
     status = impl.Join(ctx, cr, 0, static_cast<int>(literal_index));
-    if (status.ok() && collect) status = impl.FlushCollected(ctx, cr);
   }
   impl.emit_override = nullptr;
   impl.cur_delta = nullptr;

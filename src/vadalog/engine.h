@@ -36,7 +36,6 @@
 #include "vadalog/analysis.h"
 #include "vadalog/ast.h"
 #include "vadalog/database.h"
-#include "vadalog/planner.h"
 
 namespace kgm::vadalog {
 
@@ -98,19 +97,6 @@ struct EngineOptions {
   // flag is read with relaxed ordering, so it may take one checkpoint for
   // a store from another thread to be observed.
   std::shared_ptr<const std::atomic<bool>> cancel;
-  // Cost-based join planning (vadalog/planner.h).  kGreedy reorders rule
-  // bodies by estimated selectivity and picks index-vs-scan per literal;
-  // materialized output stays bit-identical to kOff at every thread count
-  // (reordered rules collect firings and flush them in written-literal row
-  // order, restoring the exact off-mode emission sequence).  Ignored for
-  // legacy_sequential_chase runs.  kGreedyTyped additionally feeds the
-  // planner `cardinality_hints` (binding-cone priors); output stays
-  // bit-identical to kGreedy at every thread count.
-  PlanMode plan_mode = PlanMode::kOff;
-  // Predicate-cardinality priors for PlanMode::kGreedyTyped, typically
-  // EstimateBindingCones (vadalog/typeflow.h) over a magic rewrite.
-  // Ignored under other plan modes; null means no priors.
-  std::shared_ptr<const std::map<std::string, double>> cardinality_hints;
 };
 
 struct EngineStats {
@@ -153,18 +139,6 @@ struct EngineStats {
   std::vector<size_t> rule_probes_by_rule;
   // Wall-clock seconds per stratum, in evaluation order.
   std::vector<double> stratum_seconds;
-  // Cost-based join planning observability (EngineOptions::plan_mode).
-  bool planner_enabled = false;
-  size_t plans_built = 0;      // plans constructed (incl. replans)
-  size_t plans_reordered = 0;  // built plans whose order differs from text
-  size_t plan_cache_hits = 0;  // PlanFor calls served from cache
-  size_t plan_replans = 0;     // rebuilds triggered by stats drift / erase
-  // Sum over cached plans of (est_probes_written - est_probes) * uses:
-  // the estimator's own account of probes avoided by reordering.
-  double est_probes_saved = 0;
-  // Every cached plan (per rule / regime / delta literal) with estimates
-  // and usage counters.
-  std::vector<PlanSnapshot> rule_plans;
   // Query-driven point-query observability (vadalog/magic/point_query.h).
   // Engine::Run never touches these; the magic::EvalPointQuery dispatcher
   // fills them on the stats it reports, so service/bench counters read one

@@ -265,11 +265,6 @@ void IncrementalView::State::ApplyEdbToDbForNonHeads(
 }
 
 Status IncrementalView::State::ApplyFullRerun() {
-  // The clone shares the EDB relations, so their statistics are refreshed
-  // here: the run's planner only refreshes relations it owns.
-  for (const std::string& pred : edb.Predicates()) {
-    if (Relation* rel = edb.GetOwned(pred)) rel->RefreshStats();
-  }
   FactDb fresh = edb.Clone();
   KGM_RETURN_IF_ERROR(engine.Run(&fresh));
   // Diff against the previous materialization so the serving layer learns

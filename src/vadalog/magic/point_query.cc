@@ -1,12 +1,9 @@
 #include "vadalog/magic/point_query.h"
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "vadalog/magic/qsqr.h"
-#include "vadalog/typeflow.h"
 
 namespace kgm::vadalog::magic {
 
@@ -69,8 +66,6 @@ Result<std::vector<Tuple>> RunQsqr(const Program& program,
   stats->engine.join_probes = qs.probes;
   stats->engine.iterations = qs.passes;
   stats->engine.facts_derived = qs.answers;
-  stats->engine.plans_reordered = qs.plans_reordered;
-  stats->engine.planner_enabled = options.engine.plan_mode != PlanMode::kOff;
   stats->engine.magic_subqueries = qs.subqueries;
   return answers;
 }
@@ -209,16 +204,7 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
     if (rw.ok()) {
       stats->adorned = rw.adorned;
       stats->full_required = rw.full_required;
-      EngineOptions engine_options = options.engine;
-      if (engine_options.plan_mode == PlanMode::kGreedyTyped) {
-        // Binding-cone priors: cost the rewrite's magic/adorned relations
-        // at their predicted steady state instead of the near-zero rows
-        // they hold when the first plans are built.
-        engine_options.cardinality_hints =
-            std::make_shared<const std::map<std::string, double>>(
-                EstimateBindingCones(rw, *db));
-      }
-      Engine engine(std::move(rw.program), engine_options);
+      Engine engine(std::move(rw.program), options.engine);
       if (engine.status().ok()) {
         stats->mode = PointQueryMode::kMagic;
         Status run = engine.Run(db);

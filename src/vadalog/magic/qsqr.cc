@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "vadalog/planner.h"
-
 namespace kgm::vadalog::magic {
 
 namespace {
@@ -74,9 +72,6 @@ struct QsqrEvaluator::Impl {
   bool changed = false;
   std::set<SubqueryKey> seen;  // per-pass
   size_t probes_since_poll = 0;
-  // Literal evaluation order per (rule address, bound-slot mask); cleared
-  // at pass boundaries so the planner re-costs against the grown memos.
-  std::map<std::pair<const CRule*, uint64_t>, std::vector<size_t>> plan_cache;
 
   Status Compile();
   Status CheckLimits() {
@@ -98,11 +93,9 @@ struct QsqrEvaluator::Impl {
     return OkStatus();
   }
 
-  const std::vector<size_t>& PlanOrder(const CRule& r, uint64_t bound_slots);
   Status Solve(const std::string& pred, uint64_t mask, const Tuple& bound);
-  Status JoinRec(const CRule& r, const std::vector<size_t>& order,
-                 size_t depth, Env env, std::vector<char> assign_done,
-                 std::vector<char> cond_done);
+  Status JoinRec(const CRule& r, size_t depth, Env env,
+                 std::vector<char> assign_done, std::vector<char> cond_done);
   // Greedy assignment application + early condition checks; returns false
   // when a check failed (the branch is pruned).
   bool ApplyBound(const CRule& r, Env* env, std::vector<char>* assign_done,
@@ -186,51 +179,6 @@ Status QsqrEvaluator::Impl::Compile() {
   return OkStatus();
 }
 
-const std::vector<size_t>& QsqrEvaluator::Impl::PlanOrder(
-    const CRule& r, uint64_t bound_slots) {
-  auto key = std::make_pair(&r, bound_slots);
-  auto it = plan_cache.find(key);
-  if (it != plan_cache.end()) return it->second;
-
-  std::vector<size_t> order(r.body.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (options.plan_mode != PlanMode::kOff && r.body.size() >= 2) {
-    // Present the subquery to the PR 7 planner: call-time-bound slots
-    // become constants (MaskFor then treats them as bound at depth 0),
-    // intensional literals read their memo relations.
-    RuleDesc desc;
-    desc.rule_index = 0;
-    desc.reorderable = true;
-    for (const CLit& cl : r.body) {
-      PlanLiteral pl;
-      pl.pred = cl.intensional ? AnsName(cl.pred) : cl.pred;
-      for (size_t i = 0; i < cl.slots.size(); ++i) {
-        PlanArg a;
-        int slot = cl.slots[i];
-        // Slots past the 64-bit mask are always presented as free (see
-        // Solve): a weaker hint, never a wrong one.
-        bool bound =
-            slot >= 0 && slot < 64 && (bound_slots & (1ULL << slot)) != 0;
-        a.is_const = cl.is_const[i] != 0 || bound;
-        a.slot = a.is_const ? -1 : slot;
-        pl.args.push_back(a);
-      }
-      desc.positives.push_back(std::move(pl));
-    }
-    // QSQR memo relations are not magic-rewrite predicates, so typed-mode
-    // hints don't apply here; plain greedy costing is the right fit.
-    JoinPlanner planner(PlanMode::kGreedy, {desc});
-    const JoinPlan* plan =
-        planner.PlanFor(0, PlanRegime::kFullLive, -1, *db, nullptr);
-    if (plan != nullptr) {
-      order.clear();
-      for (const PlannedLiteral& pl : plan->order) order.push_back(pl.literal);
-      if (plan->reordered) ++stats.plans_reordered;
-    }
-  }
-  return plan_cache.emplace(key, std::move(order)).first->second;
-}
-
 bool QsqrEvaluator::Impl::ApplyBound(const CRule& r, Env* env,
                                      std::vector<char>* assign_done,
                                      std::vector<char>* cond_done,
@@ -308,14 +256,12 @@ Status QsqrEvaluator::Impl::Emit(const CRule& r, const Env& env) {
   return OkStatus();
 }
 
-Status QsqrEvaluator::Impl::JoinRec(const CRule& r,
-                                    const std::vector<size_t>& order,
-                                    size_t depth, Env env,
+Status QsqrEvaluator::Impl::JoinRec(const CRule& r, size_t depth, Env env,
                                     std::vector<char> assign_done,
                                     std::vector<char> cond_done) {
   Status err = OkStatus();
   if (!ApplyBound(r, &env, &assign_done, &cond_done, &err)) return err;
-  if (depth == order.size()) {
+  if (depth == r.body.size()) {
     for (char done : cond_done) {
       if (!done) {
         return Internal("qsqr: condition with unbound variables at emit");
@@ -324,7 +270,7 @@ Status QsqrEvaluator::Impl::JoinRec(const CRule& r,
     return Emit(r, env);
   }
 
-  const CLit& lit = r.body[order[depth]];
+  const CLit& lit = r.body[depth];
   const size_t arity = lit.slots.size();
   uint64_t pmask = 0;
   Tuple probe(arity);
@@ -382,7 +328,7 @@ Status QsqrEvaluator::Impl::JoinRec(const CRule& r,
     }
     if (!ok) continue;
     KGM_RETURN_IF_ERROR(
-        JoinRec(r, order, depth + 1, std::move(next), assign_done, cond_done));
+        JoinRec(r, depth + 1, std::move(next), assign_done, cond_done));
   }
   return OkStatus();
 }
@@ -400,7 +346,6 @@ Status QsqrEvaluator::Impl::Solve(const std::string& pred, uint64_t mask,
     Env env(r.slot_names.size());
     bool ok = true;
     size_t bi = 0;
-    uint64_t bound_slots = 0;
     for (size_t pos = 0; pos < r.head_slots.size() && ok; ++pos) {
       if (!(mask & (1ULL << pos))) continue;
       const Value& v = bound[bi++];
@@ -412,21 +357,11 @@ Status QsqrEvaluator::Impl::Solve(const std::string& pred, uint64_t mask,
           if (!(*e == v)) ok = false;
         } else {
           e = v;
-          // bound_slots is a planner hint (and plan_cache key), not a
-          // correctness input — JoinRec validates every binding against
-          // env.  Rules with 64+ distinct variables don't fit the mask,
-          // so higher slots are simply not hinted; masking with `& 63`
-          // instead would alias a free slot onto a bound bit and present
-          // it to the planner as a constant.
-          if (r.head_slots[pos] < 64) {
-            bound_slots |= 1ULL << r.head_slots[pos];
-          }
         }
       }
     }
     if (!ok) continue;
-    const std::vector<size_t>& order = PlanOrder(r, bound_slots);
-    KGM_RETURN_IF_ERROR(JoinRec(r, order, 0, std::move(env),
+    KGM_RETURN_IF_ERROR(JoinRec(r, 0, std::move(env),
                                 std::vector<char>(r.assigns.size(), 0),
                                 std::vector<char>(r.conds.size(), 0)));
   }
@@ -508,7 +443,6 @@ Result<std::vector<Tuple>> QsqrEvaluator::Query(const QueryBinding& query) {
   do {
     impl_->changed = false;
     impl_->seen.clear();
-    impl_->plan_cache.clear();
     ++impl_->stats.passes;
     KGM_RETURN_IF_ERROR(impl_->Solve(query.predicate, qmask, bound));
   } while (impl_->changed);

@@ -8,9 +8,8 @@
 //
 // The evaluator memoizes answers per predicate in reserved relations
 // (`ans@<pred>`) inside the caller's FactDb, so the existing hash-index
-// and cardinality-statistics machinery serves subquery probes, and the
-// PR 7 cost-based planner orders each rule body for the call-time bound
-// set (bound head variables are presented to the planner as constants).
+// machinery serves subquery probes; rule bodies are joined in written
+// order.
 // Evaluation runs recursive solve passes to a global fixpoint: within a
 // pass each (predicate, adornment, bound-values) subquery is entered once
 // (recursive re-entry reads the partial memo), and passes repeat until no
@@ -42,12 +41,11 @@ class QsqrEvaluator {
     size_t probes = 0;      // candidate rows examined
     size_t passes = 0;      // global fixpoint restarts
     size_t answers = 0;     // answer tuples memoized across all predicates
-    size_t plans_reordered = 0;  // subquery bodies the planner reordered
   };
 
   // `db` holds the EDB and receives the `ans@` memo relations; it must
-  // outlive the evaluator.  Honors options.deadline / options.cancel /
-  // options.plan_mode; evaluation itself is sequential.
+  // outlive the evaluator.  Honors options.deadline / options.cancel;
+  // evaluation itself is sequential.
   QsqrEvaluator(const Program& program, FactDb* db, EngineOptions options);
   ~QsqrEvaluator();
 

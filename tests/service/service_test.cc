@@ -696,18 +696,5 @@ TEST(ServiceTest, CountersShowNoCopiesAndOneIndexBuildPerMask) {
   EXPECT_EQ(svc.Stats().cow_relation_copies, 0u);
 }
 
-TEST(ServiceTest, DeltaEpochRelationsNeverHaveStaleStatistics) {
-  KgService svc;
-  svc.Publish(ChainGraph(6));
-  for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(svc.ApplyDelta(OneLinkDelta(*svc.CurrentSnapshot())).ok());
-    std::shared_ptr<const Snapshot> snap = svc.CurrentSnapshot();
-    ASSERT_TRUE(snap->is_delta);
-    for (const auto& [pred, rel] : snap->facts) {
-      EXPECT_FALSE(rel->stats_stale()) << pred << " at epoch " << snap->epoch;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace kgm::service

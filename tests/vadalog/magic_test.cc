@@ -424,11 +424,10 @@ TEST(QsqrTest, AssignmentsAndConditions) {
                         db, options, PointQueryMode::kQsqr);
 }
 
-TEST(QsqrTest, RulesWith64PlusVariablesPlanCorrectly) {
+TEST(QsqrTest, RulesWith64PlusVariablesAnswerExactly) {
   // 66 distinct variables: the head variable v65 lands at slot 65, past
-  // the planner's 64-bit bound-slot mask.  Such slots must be presented
-  // as free, not aliased onto low bits (`slot & 63` would tell the
-  // planner slot 1 is a constant and mis-key the plan cache).
+  // any 64-bit per-slot mask.  A bound slot that high must not alias onto
+  // a low one (`slot & 63` would treat slot 1 as bound).
   std::string body;
   for (int i = 0; i < 65; ++i) {
     if (i) body += ", ";
@@ -443,7 +442,6 @@ TEST(QsqrTest, RulesWith64PlusVariablesPlanCorrectly) {
   FactDb db = ChainDb(67);
   PointQueryOptions options;
   options.force_qsqr = true;
-  options.engine.plan_mode = PlanMode::kGreedy;
   PointQueryStats stats;
   Result<std::vector<Tuple>> got = EvalPointQuery(
       program, QueryBinding{"wide", {Value(int64_t{65}), std::nullopt}}, &db,

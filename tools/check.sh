@@ -82,17 +82,18 @@ run ctest --test-dir build --output-on-failure -j "$JOBS"
 # Shipped example programs must lint clean (exit 0 = no warnings/errors).
 run ./build/examples/kgmctl lint --schema company examples/programs/*
 
-# Cost-based join planning must never change results: `kgmctl explain`
-# materializes every shipped program twice — plan_mode off and greedy —
-# and exits non-zero unless the outputs hash-match bit for bit.  The
-# plan listing itself is noise here, so stdout is dropped; set -e still
-# fails the script on a mismatch.
-echo "== kgmctl explain (planner off-vs-greedy differential)"
-./build/examples/kgmctl explain \
-  examples/programs/owns.mlog examples/programs/control.mlog \
-  examples/programs/stakeholders.mlog examples/programs/family.mlog \
-  examples/programs/closelinks.mlog examples/programs/reach.vlog \
-  > /dev/null
+# Point queries must answer exactly what full materialization answers:
+# `kgmctl query` evaluates each binding through the magic-sets / QSQR
+# dispatcher and through the materialize-then-filter baseline, and exits
+# non-zero unless the two answer sets are equal.  The bindings cover both
+# reach adornments (bf, fb) and a 3-position CONTROLS binding.
+echo "== kgmctl query (magic vs materialize differential)"
+for spec in "100,_ examples/programs/reach.vlog" \
+            "_,20 examples/programs/reach.vlog" \
+            "_,99,_ examples/programs/control.mlog"; do
+  read -r bound program <<< "$spec"
+  ./build/examples/kgmctl query --bound "$bound" "$program" > /dev/null
+done
 
 if [[ "$FAST" == 1 ]]; then
   echo "OK (fast: sanitizer builds skipped)"
@@ -107,11 +108,10 @@ fi
 # main thing TSan needs to see.  finkg_incremental runs the
 # incremental-vs-rebuild differential at 1 and 4 engine threads, which
 # exercises delta maintenance (DRed + stratum recompute) under both
-# sanitizers.  vadalog_ also matches vadalog_planner_test (greedy-vs-off
-# bit-identity at 1/4/16 threads) and vadalog_database_test (the
-# cardinality-statistics registers the planner reads).  vadalog_ also
-# matches vadalog_magic_test; finkg_pointquery runs the point-query
-# differential (magic/QSQR vs full materialization) at 1 and 4 threads.
+# sanitizers.  vadalog_ also matches vadalog_database_test (sharded
+# staging and lazily built shared indexes) and vadalog_magic_test;
+# finkg_pointquery runs the point-query differential (magic/QSQR vs full
+# materialization) at 1 and 4 threads.
 SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery'
 
 run cmake -B build-asan -S . \
