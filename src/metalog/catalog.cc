@@ -5,8 +5,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "base/check.h"
-
 namespace kgm::metalog {
 
 namespace {
@@ -237,57 +235,154 @@ vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
     }
     db.Add(e.label, std::move(t));
   }
+  db.ForEachOwnedRelation(
+      [](const std::string&, vadalog::Relation& rel) { rel.MarkInput(); });
   return db;
 }
+
+namespace {
+
+// Resolves a decoded node OID to the node that carries it, as if by a map
+// from NodeOid(node) to the first such node in id order.  A node without
+// `__oid` is found by its id; only nodes with `__oid` go into a map, so
+// resolution costs grow with the preserved chase OIDs, not with the graph.
+class NodeResolver {
+ public:
+  explicit NodeResolver(const pg::PropertyGraph& graph)
+      : graph_(graph),
+        id_limit_(graph.node_capacity()),
+        has_oid_(id_limit_, false) {
+    for (pg::NodeId id = 0; id < id_limit_; ++id) {
+      if (!graph.HasNode(id)) continue;
+      const pg::PropertyMap& props = graph.node(id).props;
+      auto it = props.find(kOidProperty);
+      if (it == props.end()) continue;
+      has_oid_[id] = true;
+      by_oid_.emplace(it->second, id);
+    }
+  }
+
+  // The node for `oid`, or kInvalidNode.
+  pg::NodeId Find(const Value& oid) const {
+    pg::NodeId best = pg::kInvalidNode;
+    auto it = by_oid_.find(oid);
+    if (it != by_oid_.end()) best = it->second;
+    if (oid.is_int() && oid.AsInt() >= 0) {
+      const pg::NodeId id = static_cast<pg::NodeId>(oid.AsInt());
+      if (id < id_limit_ && id < best && graph_.HasNode(id) && !has_oid_[id]) {
+        best = id;
+      }
+    }
+    return best;
+  }
+
+  // Records a node the decode created for `oid`.
+  void Add(const Value& oid, pg::NodeId id) { by_oid_.emplace(oid, id); }
+
+ private:
+  const pg::PropertyGraph& graph_;
+  // Nodes below this id existed before the decode and are found by id.
+  const size_t id_limit_;
+  std::vector<bool> has_oid_;
+  std::unordered_map<Value, pg::NodeId, ValueHash> by_oid_;
+};
+
+// Identity of an edge within its label.
+struct EdgeKey {
+  Value oid;
+  Value from;
+  Value to;
+
+  bool operator==(const EdgeKey& o) const {
+    return oid == o.oid && from == o.from && to == o.to;
+  }
+};
+
+struct EdgeKeyHash {
+  size_t operator()(const EdgeKey& k) const {
+    return HashCombine(HashCombine(k.oid.Hash(), k.from.Hash()), k.to.Hash());
+  }
+};
+
+// One edge label's derived rows and its edges, by identity.
+struct EdgeRows {
+  std::string label;
+  const vadalog::Relation* rel;
+  std::unordered_map<EdgeKey, pg::EdgeId, EdgeKeyHash> edge_of;
+};
+
+// The rows of `label`'s relation that DecodeGraph visits: those after the
+// input mark.  nullptr when there are none.
+Result<const vadalog::Relation*> DerivedRows(const vadalog::FactDb& db,
+                                             const std::string& label,
+                                             size_t arity) {
+  const vadalog::Relation* rel = db.Get(label);
+  if (rel == nullptr || rel->size() == rel->input_rows()) return nullptr;
+  if (rel->arity() != arity) {
+    return InvalidArgument("relation " + label + " has arity " +
+                           std::to_string(rel->arity()) +
+                           " but the catalog encodes it with arity " +
+                           std::to_string(arity));
+  }
+  return rel;
+}
+
+}  // namespace
 
 Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 const GraphCatalog& catalog,
                                 pg::PropertyGraph* graph) {
   DecodeStats stats;
-  std::unordered_map<Value, pg::NodeId, ValueHash> node_of;
-  // Edge identity is the full (oid, from, to) triple: under frontier
-  // Skolemization two derived edges may share an OID while differing in
-  // their endpoints.
-  auto edge_key = [](const Value& oid, const Value& from, const Value& to) {
-    return MakeRecord({{"o", oid}, {"f", from}, {"t", to}});
-  };
-  std::unordered_map<Value, pg::EdgeId, ValueHash> edge_of;
-  for (pg::NodeId id = 0; id < graph->node_capacity(); ++id) {
-    if (graph->HasNode(id)) node_of.emplace(NodeOid(graph->node(id)), id);
+  std::vector<std::pair<std::string, const vadalog::Relation*>> node_rels;
+  for (const std::string& label : catalog.NodeLabels()) {
+    KGM_ASSIGN_OR_RETURN(const vadalog::Relation* rel,
+                         DerivedRows(db, label, catalog.NodeArity(label)));
+    if (rel != nullptr) node_rels.emplace_back(label, rel);
   }
-  for (pg::EdgeId id = 0; id < graph->edge_capacity(); ++id) {
-    if (!graph->HasEdge(id)) continue;
-    const pg::Edge& e = graph->edge(id);
-    edge_of.emplace(edge_key(EdgeOid(e), NodeOid(graph->node(e.from)),
-                             NodeOid(graph->node(e.to))),
-                    id);
+  // Edge identity is the (oid, from, to) triple within one label: under
+  // frontier Skolemization two derived edges may share an OID while
+  // differing in their endpoints, and an edge of another label with the
+  // same triple is a different edge.  Each label with derived rows gets a
+  // map over its edges as they were before the decode (the first edge in
+  // id order wins); edges the decode creates join their label's map.
+  std::vector<EdgeRows> edge_rels;
+  for (const std::string& label : catalog.EdgeLabels()) {
+    KGM_ASSIGN_OR_RETURN(const vadalog::Relation* rel,
+                         DerivedRows(db, label, catalog.EdgeArity(label)));
+    if (rel == nullptr) continue;
+    EdgeRows& rows = edge_rels.emplace_back(EdgeRows{label, rel, {}});
+    for (pg::EdgeId id : graph->EdgesWithLabel(label)) {
+      const pg::Edge& e = graph->edge(id);
+      rows.edge_of.emplace(EdgeKey{EdgeOid(e), NodeOid(graph->node(e.from)),
+                                   NodeOid(graph->node(e.to))},
+                           id);
+    }
   }
-  // Pass 1: nodes.  Later facts win property conflicts: monotonic
+  if (node_rels.empty() && edge_rels.empty()) return stats;
+  NodeResolver nodes(*graph);
+  // Pass 1: nodes.  Only rows appended after EncodeGraph's input mark are
+  // decoded: the encoded rows hold what the graph already says, and
+  // replaying them would revert a property derived under another label of
+  // a multi-label node.  Later facts win property conflicts: monotonic
   // aggregates emit improving values over time, and relation order is
   // derivation order.
-  for (const std::string& label : catalog.NodeLabels()) {
-    const vadalog::Relation* rel = db.Get(label);
-    if (rel == nullptr) continue;
+  for (const auto& [label, rel] : node_rels) {
     const std::vector<std::string>& props = catalog.NodeProps(label);
-    for (const vadalog::Tuple& t : rel->tuples()) {
-      KGM_CHECK(t.size() == 1 + props.size());
+    for (size_t row = rel->input_rows(); row < rel->size(); ++row) {
+      const vadalog::Tuple& t = rel->tuple(row);
       const Value& oid = t[0];
-      auto it = node_of.find(oid);
-      pg::NodeId id;
-      bool is_new = it == node_of.end();
+      pg::NodeId id = nodes.Find(oid);
+      bool is_new = id == pg::kInvalidNode;
       if (is_new) {
         id = graph->AddNode(label);
         if (!oid.is_int()) {
           graph->SetNodeProperty(id, kOidProperty, oid);
         }
-        node_of.emplace(oid, id);
+        nodes.Add(oid, id);
         ++stats.new_nodes;
-      } else {
-        id = it->second;
-        if (!graph->node(id).HasLabel(label)) {
-          graph->AddLabel(id, label);
-          ++stats.updated_nodes;
-        }
+      } else if (!graph->node(id).HasLabel(label)) {
+        graph->AddLabel(id, label);
+        ++stats.updated_nodes;
       }
       for (size_t i = 0; i < props.size(); ++i) {
         if (t[1 + i].is_null()) continue;
@@ -300,17 +395,14 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     }
   }
   // Pass 2: edges.
-  for (const std::string& label : catalog.EdgeLabels()) {
-    const vadalog::Relation* rel = db.Get(label);
-    if (rel == nullptr) continue;
+  for (auto& [label, rel, edge_of] : edge_rels) {
     const std::vector<std::string>& props = catalog.EdgeProps(label);
-    for (const vadalog::Tuple& t : rel->tuples()) {
-      KGM_CHECK(t.size() == 3 + props.size());
+    for (size_t row = rel->input_rows(); row < rel->size(); ++row) {
+      const vadalog::Tuple& t = rel->tuple(row);
       const Value& oid = t[0];
-      Value key = edge_key(oid, t[1], t[2]);
+      EdgeKey key{oid, t[1], t[2]};
       auto existing = edge_of.find(key);
-      if (existing != edge_of.end() &&
-          graph->edge(existing->second).label == label) {
+      if (existing != edge_of.end()) {
         pg::EdgeId eid = existing->second;
         for (size_t i = 0; i < props.size(); ++i) {
           if (t[3 + i].is_null()) continue;
@@ -321,21 +413,19 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
         }
         continue;
       }
-      auto from_it = node_of.find(t[1]);
-      auto to_it = node_of.find(t[2]);
-      if (from_it == node_of.end() || to_it == node_of.end()) {
-        return FailedPrecondition("derived edge " + label +
-                                  " references unresolved node OID " +
-                                  (from_it == node_of.end() ? t[1] : t[2])
-                                      .ToString());
+      pg::NodeId from = nodes.Find(t[1]);
+      pg::NodeId to = nodes.Find(t[2]);
+      if (from == pg::kInvalidNode || to == pg::kInvalidNode) {
+        return FailedPrecondition(
+            "derived edge " + label + " references unresolved node OID " +
+            (from == pg::kInvalidNode ? t[1] : t[2]).ToString());
       }
       pg::PropertyMap prop_map;
       for (size_t i = 0; i < props.size(); ++i) {
         if (!t[3 + i].is_null()) prop_map[props[i]] = t[3 + i];
       }
       if (!oid.is_int()) prop_map[kOidProperty] = oid;
-      pg::EdgeId eid = graph->AddEdge(from_it->second, to_it->second, label,
-                                      std::move(prop_map));
+      pg::EdgeId eid = graph->AddEdge(from, to, label, std::move(prop_map));
       edge_of.emplace(std::move(key), eid);
       ++stats.new_edges;
     }

@@ -80,8 +80,10 @@ class GraphCatalog {
 };
 
 // Encodes `graph` into relational facts per the catalog.  Node OIDs are the
-// node ids as integers; edge OIDs the edge ids.  Labels absent from the
-// catalog are skipped.
+// node ids as integers (or a node's preserved `__oid`); edge OIDs likewise.
+// Labels absent from the catalog are skipped.  Every relation it fills is
+// marked as input (Relation::MarkInput), so DecodeGraph can tell the
+// encoded rows from the ones a fixpoint appends.
 vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
                             const GraphCatalog& catalog);
 
@@ -92,11 +94,32 @@ struct DecodeStats {
   size_t updated_nodes = 0;
 };
 
-// Merges derived facts of `db` back into `graph` (the inverse mapping):
-//  * node facts with a fresh OID (Skolem/null) create new nodes;
-//  * node facts with a known OID merge their non-null properties;
-//  * edge facts with fresh OIDs create edges between resolved endpoints.
-// Facts whose predicates are not catalog labels are ignored.
+// Merges derived facts of `db` back into `graph` (the inverse mapping).
+//
+// What is decoded: only the rows of each catalog label's relation after
+// its input mark, i.e. what was appended after EncodeGraph.  The encoded
+// rows restate the graph and are skipped, so the cost follows the derived
+// facts, not the graph; a relation without a mark is decoded whole.
+// Predicates that are not catalog labels are ignored.  A relation whose
+// arity differs from the catalog's encoding is an InvalidArgument error.
+//
+//  * node facts with an unknown OID create new nodes (a non-integer OID is
+//    kept in `__oid`);
+//  * node facts with a known OID merge their non-null properties; later
+//    rows win, labels in catalog order;
+//  * edge facts create edges between resolved endpoints unless their label
+//    already has the edge, whose non-null properties they then merge.
+//
+// OID resolution: an OID names the first node in id order whose encoded
+// OID equals it, as EncodeGraph wrote it: a node's `__oid` when present,
+// its integer id otherwise.  Nodes the decode creates resolve by their
+// OID too.
+//
+// Edge identity is per label: an edge is its (oid, from, to) triple among
+// the edges of its own label (the first in id order wins).  Under frontier
+// Skolemization two derived edges may share an OID while differing in their
+// endpoints, and an edge of another label with the same triple is a
+// different edge.
 Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 const GraphCatalog& catalog,
                                 pg::PropertyGraph* graph);

@@ -83,6 +83,57 @@ void Relation::IndexList::Clear() {
   }
 }
 
+template <typename Eq>
+size_t Relation::DedupTable::Find(size_t hash, Eq&& eq) const {
+  if (size_ == 0) return kNoRow;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(hash);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.row == kEmpty) return kNoRow;
+    if (s.hash == hash && eq(s.row)) return s.row;
+  }
+}
+
+template <typename Eq>
+bool Relation::DedupTable::InsertUnique(size_t hash, uint32_t row, Eq&& eq) {
+  Reserve(size_ + 1);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(hash);; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.row == kEmpty) {
+      s = Slot{hash, row};
+      ++size_;
+      return true;
+    }
+    if (s.hash == hash && eq(s.row)) return false;
+  }
+}
+
+void Relation::DedupTable::Insert(size_t hash, uint32_t row) {
+  InsertUnique(hash, row, [](uint32_t) { return false; });
+}
+
+void Relation::DedupTable::Reserve(size_t n) {
+  // At most 3/4 full, so every probe sequence ends at an empty slot.
+  if (n * 4 <= slots_.size() * 3) return;
+  size_t capacity = std::max<size_t>(slots_.size(), 8);
+  while (n * 4 > capacity * 3) capacity <<= 1;
+  Rehash(capacity);
+}
+
+void Relation::DedupTable::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+  const size_t mask = capacity - 1;
+  for (const Slot& s : old) {
+    if (s.row == kEmpty) continue;
+    size_t i = Home(s.hash);
+    while (slots_[i].row != kEmpty) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
 Relation::Relation(size_t arity, size_t shard_count) : arity_(arity) {
   shard_count = RoundUpPow2(shard_count);
   shards_.reserve(shard_count);
@@ -97,9 +148,10 @@ Relation Relation::Clone() const {
   Relation out(arity_, shards_.size());
   out.version_ = version_;
   out.fingerprint_ = fingerprint_;
+  out.input_rows_ = input_rows_;
   out.tuples_ = tuples_;
-  // Dedup buckets are keyed by full-tuple hash and the shard layout is
-  // identical, so they copy wholesale — nothing is rehashed.
+  // The dedup tables hold full-tuple hashes and the shard layout is
+  // identical, so they copy as flat arrays — nothing is rehashed.
   for (size_t i = 0; i < shards_.size(); ++i) {
     out.shards_[i]->dedup = shards_[i]->dedup;
   }
@@ -119,23 +171,15 @@ Relation Relation::Clone() const {
 
 bool Relation::CanonicalContains(const Shard& shard, size_t hash,
                                  const Tuple& t) const {
-  auto it = shard.dedup.find(hash);
-  if (it == shard.dedup.end()) return false;
-  for (uint32_t row : it->second.rows) {
-    if (tuples_[row] == t) return true;
-  }
-  return false;
+  return shard.dedup.Find(hash, [&](uint32_t row) {
+           return tuples_[row] == t;
+         }) != kNoRow;
 }
 
 size_t Relation::FindRow(const Tuple& t) const {
   size_t h = HashTuple(t);
-  const Shard& shard = ShardFor(h);
-  auto it = shard.dedup.find(h);
-  if (it == shard.dedup.end()) return kNoRow;
-  for (uint32_t row : it->second.rows) {
-    if (tuples_[row] == t) return row;
-  }
-  return kNoRow;
+  return ShardFor(h).dedup.Find(
+      h, [&](uint32_t row) { return tuples_[row] == t; });
 }
 
 bool Relation::Insert(Tuple t) {
@@ -144,13 +188,11 @@ bool Relation::Insert(Tuple t) {
   // every maintained index mask.
   TupleHasher hasher(t);
   size_t h = hasher.full();
-  Shard& shard = ShardFor(h);
-  Bucket& bucket = shard.dedup[h];
-  for (uint32_t row : bucket.rows) {
-    if (tuples_[row] == t) return false;
-  }
   uint32_t row = static_cast<uint32_t>(tuples_.size());
-  bucket.rows.push_back(row);
+  if (!ShardFor(h).dedup.InsertUnique(
+          h, row, [&](uint32_t r) { return tuples_[r] == t; })) {
+    return false;
+  }
   for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
     n->index[hasher.Masked(n->mask)].rows.push_back(row);
   }
@@ -169,16 +211,18 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
     size_t row = FindRow(t);
     if (row == kNoRow || dead[row]) continue;
     dead[row] = 1;
+    if (row < input_rows_) --input_rows_;
     fingerprint_ ^= HashTuple(t);
     ++erased;
   }
   if (erased == 0) return 0;
   // Order-preserving compaction shifts the surviving row ids, but every
-  // content hash stays the same, so the dedup shards and built indexes are
-  // patched in place: drop dead entries, remap the rest.  This keeps a
-  // deletion at O(entries) integer work instead of rehashing every tuple —
-  // the difference dominates incremental maintenance, which erases from
-  // large relations on every delta batch.
+  // content hash stays the same, so the dedup tables are rebuilt from the
+  // survivors' stored hashes and the built indexes are patched in place:
+  // drop dead entries, remap the rest.  This keeps a deletion at
+  // O(entries) integer work instead of rehashing every tuple — the
+  // difference dominates incremental maintenance, which erases from large
+  // relations on every delta batch.
   std::vector<uint32_t> remap(tuples_.size());
   uint32_t next = 0;
   for (size_t i = 0; i < tuples_.size(); ++i) {
@@ -199,10 +243,12 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
     rows.resize(w);
   };
   for (auto& shard : shards_) {
-    for (auto it = shard->dedup.begin(); it != shard->dedup.end();) {
-      patch_rows(it->second.rows);
-      it = it->second.rows.empty() ? shard->dedup.erase(it) : std::next(it);
-    }
+    DedupTable survivors;
+    survivors.Reserve(shard->dedup.size());
+    shard->dedup.ForEach([&](size_t h, uint32_t row) {
+      if (!dead[row]) survivors.Insert(h, remap[row]);
+    });
+    shard->dedup = std::move(survivors);
   }
   for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
     for (auto it = n->index.begin(); it != n->index.end();) {
@@ -276,12 +322,17 @@ void Relation::Reshard(size_t shard_count) {
     fresh.push_back(std::make_unique<Shard>());
   }
   size_t mask = shard_count - 1;
-  // Buckets are keyed by full-tuple hash, so they move wholesale; no tuple
-  // is rehashed.
+  // Entries carry their full-tuple hash, so they move by it; no tuple is
+  // rehashed.
+  std::vector<size_t> counts(shard_count, 0);
   for (auto& shard : shards_) {
-    for (auto& [h, bucket] : shard->dedup) {
-      fresh[h & mask]->dedup.emplace(h, std::move(bucket));
-    }
+    shard->dedup.ForEach([&](size_t h, uint32_t) { ++counts[h & mask]; });
+  }
+  for (size_t i = 0; i < shard_count; ++i) fresh[i]->dedup.Reserve(counts[i]);
+  for (auto& shard : shards_) {
+    shard->dedup.ForEach([&](size_t h, uint32_t row) {
+      fresh[h & mask]->dedup.Insert(h, row);
+    });
   }
   shards_ = std::move(fresh);
   shard_mask_ = mask;
@@ -369,7 +420,9 @@ size_t Relation::DrainPrepared() {
   std::vector<Cursor> cursors;
   cursors.reserve(shards_.size());
   for (auto& shard : shards_) {
-    if (!shard->staged.empty()) cursors.push_back(Cursor{&shard->staged, 0});
+    if (shard->staged.empty()) continue;
+    cursors.push_back(Cursor{&shard->staged, 0});
+    shard->dedup.Reserve(shard->dedup.size() + shard->staged.size());
   }
   auto greater = [](const Cursor& a, const Cursor& b) {
     return (*b.run)[b.pos].tag < (*a.run)[a.pos].tag;
@@ -385,7 +438,7 @@ size_t Relation::DrainPrepared() {
     if (++cur.pos < cur.run->size()) heap.push(cur);
     if (e.duplicate) continue;
     uint32_t row = static_cast<uint32_t>(tuples_.size());
-    ShardFor(e.hash).dedup[e.hash].rows.push_back(row);
+    ShardFor(e.hash).dedup.Insert(e.hash, row);
     size_t ii = 0;
     for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
       n->index[e.index_hashes[ii++]].rows.push_back(row);
@@ -465,12 +518,6 @@ Relation* FactDb::GetMutable(const std::string& pred) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
   return &Writable(it->second);
-}
-
-Relation* FactDb::GetOwned(const std::string& pred) {
-  auto it = relations_.find(pred);
-  if (it == relations_.end() || !Owns(it->second)) return nullptr;
-  return const_cast<Relation*>(it->second.rel.get());
 }
 
 bool FactDb::Add(const std::string& pred, Tuple t) {

@@ -16,6 +16,18 @@
 // relation's own lock and never change once published, so concurrent
 // readers can share them and probe them without locking.
 //
+// Dedup.  Each relation deduplicates through a flat open-addressing table
+// of (full-tuple hash, row id) entries: no node or heap vector per stored
+// tuple.  A probe compares stored hashes first and the tuple itself only on
+// a hash match.  The table never hashes a tuple again once stored: growth,
+// Reshard, Clone and EraseTuples move or copy the stored hashes.
+//
+// Input mark.  A relation can mark its current rows as input
+// (MarkInput); rows appended later are the derived rows.  The mark
+// survives Clone and Reshard and drops by the number of input rows that
+// EraseTuples removes.  metalog::EncodeGraph marks every relation it
+// fills, so DecodeGraph visits only what the fixpoint derived.
+//
 // Sharding & concurrent staging.  Each Relation is internally sharded:
 // full-tuple hashes route dedup entries to one of N shards (N a power of
 // two), and every shard owns its slice of the dedup table, a mutex, and a
@@ -129,6 +141,12 @@ class Relation {
 
   bool Contains(const Tuple& t) const;
 
+  // Marks every current row as input: rows [0, input_rows()) are the
+  // input, later rows were appended after the mark.  Clone and Reshard
+  // keep the mark; EraseTuples lowers it by the input rows it removes.
+  void MarkInput() { input_rows_ = tuples_.size(); }
+  size_t input_rows() const { return input_rows_; }
+
   // Monotonic mutation counter: bumped every time the canonical store gains
   // or loses rows (an Insert that was new, a drain that appended, an erase
   // that removed).  Lets callers detect "relation unchanged" without
@@ -196,8 +214,9 @@ class Relation {
   size_t shard_count() const { return shards_.size(); }
 
   // Redistributes the dedup table over `shard_count` shards (rounded up to
-  // a power of two).  Buckets move by hash; tuples are not rehashed.  Must
-  // not be called with staged tuples pending.  Resets the shard counters.
+  // a power of two).  Entries move by their stored hash; tuples are not
+  // rehashed.  Must not be called with staged tuples pending.  Resets the
+  // shard counters.
   void Reshard(size_t shard_count);
 
   // Thread-safe dedup-on-insert into the staging area.  Returns true if
@@ -300,9 +319,53 @@ class Relation {
     bool duplicate = false;
   };
 
+  // Open-addressing (linear probing) set of canonical rows keyed by their
+  // full-tuple hash.  Capacity is zero or a power of two, at most 3/4
+  // full.  Several rows may share a hash; `eq` tells them apart.
+  class DedupTable {
+   public:
+    size_t size() const { return size_; }
+    // The row whose stored hash is `hash` and for which `eq(row)` holds,
+    // or kNoRow.
+    template <typename Eq>
+    size_t Find(size_t hash, Eq&& eq) const;
+    // Adds (hash, row) unless a row with that hash satisfies `eq`; returns
+    // true if it was added.
+    template <typename Eq>
+    bool InsertUnique(size_t hash, uint32_t row, Eq&& eq);
+    // Adds (hash, row); the caller knows the row's tuple is absent.
+    void Insert(size_t hash, uint32_t row);
+    // Makes room for `n` entries in total without further growth.
+    void Reserve(size_t n);
+    // Calls fn(hash, row) for every entry.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (const Slot& s : slots_) {
+        if (s.row != kEmpty) fn(s.hash, s.row);
+      }
+    }
+
+   private:
+    static constexpr uint32_t kEmpty = static_cast<uint32_t>(-1);
+    struct Slot {
+      uint64_t hash = 0;
+      uint32_t row = kEmpty;
+    };
+    // Home slot: the top bits of the mixed hash (the low bits select the
+    // shard, so they are the same for every entry of one table).
+    size_t Home(size_t hash) const {
+      return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    void Rehash(size_t capacity);
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+    unsigned shift_ = 64;
+  };
+
   struct Shard {
     std::mutex mu;
-    HashIndex dedup;  // full-tuple hash -> canonical rows (this shard's keys)
+    DedupTable dedup;  // this shard's canonical rows, by full-tuple hash
     std::vector<Staged> staged;
     ShardCounters counters;
   };
@@ -321,6 +384,7 @@ class Relation {
   size_t arity_;
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
+  size_t input_rows_ = 0;
   std::vector<Tuple> tuples_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
@@ -356,9 +420,6 @@ class FactDb {
   // For writing: copies a shared relation first (see Clone).  nullptr if
   // the predicate has no facts.
   Relation* GetMutable(const std::string& pred);
-  // The relation if this database may write it in place, without copying;
-  // nullptr if it is absent or shared.
-  Relation* GetOwned(const std::string& pred);
 
   // Convenience: insert one fact.
   bool Add(const std::string& pred, Tuple t);

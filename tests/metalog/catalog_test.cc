@@ -153,6 +153,103 @@ TEST(DecodeTest, UnresolvedEndpointRejected) {
   EXPECT_FALSE(stats.ok());
 }
 
+TEST(EncodeTest, MarksEveryRelationAsInput) {
+  pg::PropertyGraph g = SampleGraph();
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  vadalog::FactDb db = EncodeGraph(g, catalog);
+  for (const std::string& pred : db.Predicates()) {
+    EXPECT_EQ(db.Get(pred)->input_rows(), db.Get(pred)->size()) << pred;
+  }
+}
+
+TEST(DecodeTest, EncodedRowsAreNotReplayed) {
+  pg::PropertyGraph g = SampleGraph();
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  vadalog::FactDb db = EncodeGraph(g, catalog);
+  // A change made after the encode is not reverted by the encoded rows.
+  g.SetNodeProperty(2, "name", Value("renamed"));
+  g.SetEdgeProperty(0, "pct", Value(0.9));
+  auto stats = DecodeGraph(db, catalog, &g);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->new_nodes + stats->new_edges + stats->updated_nodes, 0u);
+  EXPECT_EQ(*g.NodeProperty(2, "name"), Value("renamed"));
+  EXPECT_EQ(*g.EdgeProperty(0, "pct"), Value(0.9));
+}
+
+TEST(DecodeTest, NodeArityMismatchIsAnError) {
+  pg::PropertyGraph g = SampleGraph();
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  vadalog::FactDb db;
+  // Company encodes as (oid, name); this relation has an extra column.
+  db.Add("Company", {Value(int64_t{2}), Value("acme"), Value(int64_t{1})});
+  auto stats = DecodeGraph(db, catalog, &g);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.num_nodes(), 3u);
+}
+
+TEST(DecodeTest, EdgeArityMismatchIsAnError) {
+  pg::PropertyGraph g = SampleGraph();
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  vadalog::FactDb db;
+  // OWNS encodes as (oid, from, to, pct); this relation lacks pct.
+  db.Add("OWNS", {Value(int64_t{7}), Value(int64_t{0}), Value(int64_t{2})});
+  auto stats = DecodeGraph(db, catalog, &g);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.num_edges(), 3u);
+}
+
+TEST(DecodeTest, EdgeIdentityIsPerLabel) {
+  // Two edges of different labels share one (oid, from, to) triple.  A
+  // derived row of the second label updates that label's edge instead of
+  // creating a duplicate.
+  pg::PropertyGraph g;
+  pg::NodeId a = g.AddNode("Person");
+  pg::NodeId b = g.AddNode("Person");
+  Value oid = SkolemTable::Global().Intern("skLink", {Value(int64_t{1})});
+  g.AddEdge(a, b, "KNOWS", {{kOidProperty, oid}});
+  pg::EdgeId likes = g.AddEdge(a, b, "LIKES", {{kOidProperty, oid}});
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  catalog.AddEdgeLabel("LIKES", {"weight"});
+  vadalog::FactDb db = EncodeGraph(g, catalog);
+  db.Add("LIKES", {oid, Value(int64_t{0}), Value(int64_t{1}), Value(0.5)});
+  auto stats = DecodeGraph(db, catalog, &g);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->new_edges, 0u);
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(*g.EdgeProperty(likes, "weight"), Value(0.5));
+}
+
+TEST(DecodeTest, NodeOidResolvesToTheFirstNodeInIdOrder) {
+  pg::PropertyGraph g;
+  // Node 0 preserves chase OID 3, which is also node 3's id: node 0 wins.
+  // Node 4 preserves OID 1, but node 1 comes first.
+  g.AddNode("Company", {{kOidProperty, Value(int64_t{3})}});
+  for (int i = 1; i < 4; ++i) g.AddNode("Company");
+  g.AddNode("Company", {{kOidProperty, Value(int64_t{1})}});
+  GraphCatalog catalog;
+  catalog.AddNodeLabel("Company", {"name"});
+  vadalog::FactDb db = EncodeGraph(g, catalog);
+  db.Add("Company", {Value(int64_t{3}), Value("three")});
+  db.Add("Company", {Value(int64_t{1}), Value("one")});
+  // An integer OID no node carries makes a node, which later rows reuse.
+  db.Add("Company", {Value(int64_t{99}), Value("new")});
+  catalog.AddNodeLabel("Listed", {"name"});
+  db.Add("Listed", {Value(int64_t{99}), Value()});
+  auto stats = DecodeGraph(db, catalog, &g);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(*g.NodeProperty(0, "name"), Value("three"));
+  EXPECT_EQ(g.NodeProperty(3, "name"), nullptr);
+  EXPECT_EQ(*g.NodeProperty(1, "name"), Value("one"));
+  EXPECT_EQ(g.NodeProperty(4, "name"), nullptr);
+  EXPECT_EQ(stats->new_nodes, 1u);
+  ASSERT_EQ(g.NodesWithLabel("Listed").size(), 1u);
+  pg::NodeId fresh = g.NodesWithLabel("Listed")[0];
+  EXPECT_EQ(*g.NodeProperty(fresh, "name"), Value("new"));
+  EXPECT_TRUE(g.node(fresh).HasLabel("Company"));
+}
+
 TEST(CatalogTest, MergeCombinesCatalogs) {
   GraphCatalog a;
   a.AddNodeLabel("Person", {"name"});

@@ -122,6 +122,22 @@ TEST(RunnerTest, DerivedNodeProperties) {
   EXPECT_EQ(*n, Value(int64_t{2}));
 }
 
+TEST(RunnerTest, DerivedPropertyOnMultiLabelNodeSurvivesDecode) {
+  // Both labels encode the node with x = 1.  The derived A row sets x = 5;
+  // replaying B's encoded row afterwards would set it back to 1.
+  for (const std::vector<std::string>& labels :
+       {std::vector<std::string>{"A"}, std::vector<std::string>{"A", "B"}}) {
+    SCOPED_TRACE(labels.size());
+    pg::PropertyGraph g;
+    pg::NodeId n =
+        g.AddNode(labels, {{"x", Value(int64_t{1})}, {"y", Value(int64_t{5})}});
+    auto result = RunMetaLogSource("(n: A; y: v) -> (n: A; x: v).", &g);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(*g.NodeProperty(n, "x"), Value(int64_t{5}));
+    EXPECT_EQ(result->decode.updated_nodes, 1u);
+  }
+}
+
 TEST(RunnerTest, DerivedNodesViaExistential) {
   // Every person belongs to a family named after their surname; persons who
   // share a surname share the family node (linker Skolem semantics comes

@@ -319,7 +319,6 @@ TEST(FactDbTest, AdoptedRelationIsReadInPlaceAndCopiedOnWrite) {
   FactDb db;
   db.Adopt("p", shared);
   EXPECT_EQ(db.Get("p"), shared.get());
-  EXPECT_EQ(db.GetOwned("p"), nullptr);
   EXPECT_EQ(db.Share("p"), shared);
 
   db.Add("p", T({2}));
@@ -327,7 +326,6 @@ TEST(FactDbTest, AdoptedRelationIsReadInPlaceAndCopiedOnWrite) {
   EXPECT_EQ(db.cow_copies(), 1u);
   EXPECT_EQ(shared->size(), 1u);
   EXPECT_EQ(db.Get("p")->size(), 2u);
-  EXPECT_EQ(db.GetOwned("p"), db.Get("p"));
 
   // An adopted relation is never written in place, even as the last
   // reference: the owner may have made it a const object.
@@ -421,6 +419,150 @@ TEST(FactDbTest, ReshardAllAppliesToExistingAndFutureRelations) {
   EXPECT_EQ(db.Get("p")->shard_count(), 4u);
   db.Add("q", T({2}));
   EXPECT_EQ(db.Get("q")->shard_count(), 4u);
+}
+
+// --- dedup table ------------------------------------------------------------
+
+// A tuple (a2, b2) whose full hash equals that of (a, b), found by
+// inverting the last HashCombine of HashTuple and the integer case of
+// Value::Hash.
+Tuple CollidingTuple(int64_t a, int64_t b, int64_t a2) {
+  constexpr size_t kGolden = 0x9e3779b97f4a7c15ULL;
+  const size_t target = HashTuple(T({a, b}));
+  const size_t prefix = HashTuple(T({a2}));
+  const size_t hb2 = (target ^ prefix) - kGolden - (prefix << 6) - (prefix >> 2);
+  const size_t seed = static_cast<size_t>(ValueKind::kInt) * kGolden;
+  const size_t b2 = (hb2 ^ seed) - kGolden - (seed << 6) - (seed >> 2);
+  return T({a2, static_cast<int64_t>(b2)});
+}
+
+// Checks the dedup answers of `rel` against the expected canonical rows
+// and a list of tuples that must be absent.
+void ExpectDedupAnswers(const Relation& rel, const std::vector<Tuple>& rows,
+                        const std::vector<Tuple>& absent) {
+  ASSERT_EQ(rel.tuples(), rows);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(rel.Contains(rows[i])) << i;
+    EXPECT_EQ(rel.RowOf(rows[i]), i);
+  }
+  for (const Tuple& t : absent) {
+    EXPECT_FALSE(rel.Contains(t));
+    EXPECT_EQ(rel.RowOf(t), Relation::kNoRow);
+  }
+}
+
+TEST(RelationDedupTest, SameAnswersThroughEveryMutationAtAnyShardCount) {
+  for (size_t shards : {1u, 4u, 16u}) {
+    SCOPED_TRACE(shards);
+    Relation rel(2, shards);
+    std::vector<Tuple> rows;
+    std::vector<Tuple> absent = {T({-1, -1}), T({5000, 0})};
+    // Enough rows to grow every shard's table several times, each inserted
+    // twice, plus rows whose full hash collides with an earlier row.
+    for (int64_t i = 0; i < 3000; ++i) {
+      Tuple t = T({i, i % 7});
+      EXPECT_TRUE(rel.Insert(t));
+      EXPECT_FALSE(rel.Insert(t));
+      rows.push_back(t);
+      if (i % 100 == 0) {
+        Tuple twin = CollidingTuple(i, i % 7, i + 100000);
+        ASSERT_EQ(HashTuple(twin), HashTuple(t));
+        EXPECT_TRUE(rel.Insert(twin));
+        EXPECT_FALSE(rel.Insert(twin));
+        rows.push_back(twin);
+      }
+    }
+    ExpectDedupAnswers(rel, rows, absent);
+
+    // Erase every third row, including hash twins; row ids compact.
+    std::vector<Tuple> erase;
+    std::vector<Tuple> kept;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      (i % 3 == 0 ? erase : kept).push_back(rows[i]);
+    }
+    erase.push_back(T({-1, -1}));  // absent: ignored
+    EXPECT_EQ(rel.EraseTuples(erase), erase.size() - 1);
+    erase.pop_back();
+    rows = kept;
+    absent.insert(absent.end(), erase.begin(), erase.end());
+    ExpectDedupAnswers(rel, rows, absent);
+
+    rel.Reshard(shards * 2);
+    ExpectDedupAnswers(rel, rows, absent);
+    rel.Reshard(shards);
+    ExpectDedupAnswers(rel, rows, absent);
+
+    // A clone answers the same and stays independent.
+    Relation copy = rel.Clone();
+    ExpectDedupAnswers(copy, rows, absent);
+    EXPECT_TRUE(copy.Insert(T({-1, -1})));
+    EXPECT_FALSE(rel.Contains(T({-1, -1})));
+    EXPECT_FALSE(rel.Insert(rows[5]));
+
+    // Staged drains: erased rows come back, canonical duplicates are
+    // rejected, same-barrier duplicates resolve to the minimum tag.
+    uint32_t item = 0;
+    for (size_t i = 0; i < erase.size(); i += 2) {
+      EXPECT_TRUE(rel.StageInsert({item, 0}, erase[i]));
+      EXPECT_FALSE(rel.StageInsert({item, 1}, rows[i % rows.size()]));
+      EXPECT_TRUE(rel.StageInsert({item + 1, 0}, erase[i]));
+      item += 2;
+    }
+    EXPECT_EQ(rel.DrainStaged(), (erase.size() + 1) / 2);
+    for (size_t i = 0; i < erase.size(); i += 2) rows.push_back(erase[i]);
+    std::vector<Tuple> still_absent;
+    for (size_t i = 1; i < erase.size(); i += 2) {
+      still_absent.push_back(erase[i]);
+    }
+    ExpectDedupAnswers(rel, rows, still_absent);
+
+    // The two-phase drain leaves the same dedup state.
+    for (size_t i = 1; i < erase.size(); i += 2) {
+      EXPECT_TRUE(rel.StageInsert({item++, 0}, erase[i]));
+    }
+    for (size_t s = 0; s < rel.shard_count(); ++s) rel.PrepareStagedShard(s);
+    EXPECT_EQ(rel.DrainPrepared(), erase.size() / 2);
+    for (size_t i = 1; i < erase.size(); i += 2) rows.push_back(erase[i]);
+    ExpectDedupAnswers(rel, rows, {T({-1, -1})});
+  }
+}
+
+TEST(RelationInputMarkTest, MarkSurvivesCloneAndReshard) {
+  Relation rel(1, 4);
+  EXPECT_EQ(rel.input_rows(), 0u);
+  for (int64_t i = 0; i < 10; ++i) rel.Insert(T({i}));
+  rel.MarkInput();
+  rel.Insert(T({10}));
+  EXPECT_EQ(rel.input_rows(), 10u);
+  EXPECT_EQ(rel.size(), 11u);
+  Relation copy = rel.Clone();
+  EXPECT_EQ(copy.input_rows(), 10u);
+  copy.Reshard(16);
+  EXPECT_EQ(copy.input_rows(), 10u);
+}
+
+TEST(RelationInputMarkTest, ErasingInputRowsLowersTheMark) {
+  Relation rel(1);
+  for (int64_t i = 0; i < 10; ++i) rel.Insert(T({i}));
+  rel.MarkInput();
+  for (int64_t i = 10; i < 15; ++i) rel.Insert(T({i}));
+  // Two input rows and one derived row go: only the input rows count.
+  EXPECT_EQ(rel.EraseTuples({T({0}), T({7}), T({12})}), 3u);
+  EXPECT_EQ(rel.input_rows(), 8u);
+  EXPECT_EQ(rel.tuple(rel.input_rows()), T({10}));
+  EXPECT_EQ(rel.EraseTuples({T({13})}), 1u);
+  EXPECT_EQ(rel.input_rows(), 8u);
+}
+
+TEST(FactDbTest, CopyOnWriteKeepsTheInputMark) {
+  FactDb db;
+  db.Add("p", T({1}));
+  db.GetMutable("p")->MarkInput();
+  FactDb copy = db.Clone();
+  copy.Add("p", T({2}));
+  EXPECT_EQ(copy.cow_copies(), 1u);
+  EXPECT_EQ(copy.Get("p")->input_rows(), 1u);
+  EXPECT_EQ(copy.Get("p")->size(), 2u);
 }
 
 }  // namespace
