@@ -38,10 +38,11 @@
 //   kgmctl query [--json] [--threads N] [--output PRED] --bound a1,a2,... <program>
 //       Answer a point query against a demo Company-KG instance: the
 //       binding (CSV of constants, `_` = free position) routes the
-//       evaluation through the magic-sets rewrite / QSQR dispatcher.
-//       Prints the chosen route, the rewrite summary (adorned and magic
-//       predicates, full-evaluation predicates) and the probe cost next
-//       to the materialize-then-filter baseline.  Exit code 1 if the
+//       evaluation to an EDB lookup, the magic-sets rewrite, or (with
+//       the reason) materialize-then-filter.  Prints the chosen route,
+//       the rewrite summary (adorned and magic predicates,
+//       full-evaluation predicates) and the probe cost next to the
+//       materialize-then-filter baseline.  Exit code 1 if the
 //       routed answers differ from the baseline's as a set.
 //
 // Run: build/examples/kgmctl <command> ...
@@ -380,9 +381,9 @@ bool HandleServeLine(service::KgService& svc, const std::string& line,
     *out = reply.str();
   } else if (cmd == "pquery") {
     // Point query: like `query`, but with an argument binding routed
-    // through the magic-sets / QSQR dispatcher.  The binding is a CSV of
-    // constants with `_` for free positions (no spaces inside values over
-    // this whitespace-split protocol; use `kgmctl query` for those).
+    // through the magic-sets point-query dispatcher.  The binding is a CSV
+    // of constants with `_` for free positions (no spaces inside values
+    // over this whitespace-split protocol; use `kgmctl query` for those).
     std::string output, lang, bound;
     in >> output >> lang >> bound;
     std::string program;

@@ -120,17 +120,19 @@ Value MakeRecord(Record fields) {
 // --- SkolemTable -------------------------------------------------------------
 
 namespace {
+// A borrowed (functor, args) pair.  Stored keys borrow from the table's
+// terms; a lookup borrows the caller's arguments, so probing copies nothing.
 struct SkolemKey {
-  std::string functor;
-  std::vector<Value> args;
+  const std::string* functor;
+  const std::vector<Value>* args;
   bool operator==(const SkolemKey& o) const {
-    return functor == o.functor && args == o.args;
+    return *functor == *o.functor && *args == *o.args;
   }
 };
 struct SkolemKeyHash {
   size_t operator()(const SkolemKey& k) const {
-    size_t h = std::hash<std::string>{}(k.functor);
-    for (const Value& v : k.args) h = HashCombine(h, v.Hash());
+    size_t h = std::hash<std::string>{}(*k.functor);
+    for (const Value& v : *k.args) h = HashCombine(h, v.Hash());
     return h;
   }
 };
@@ -147,16 +149,20 @@ SkolemTable& SkolemTable::Global() {
   return table;
 }
 
+uint64_t SkolemTable::InternLocked(const std::string& functor,
+                                   const std::vector<Value>& args) {
+  auto it = index_->map.find(SkolemKey{&functor, &args});
+  if (it != index_->map.end()) return it->second;
+  uint64_t id = terms_.size();
+  const Term& term = terms_.emplace_back(Term{functor, args});
+  index_->map.emplace(SkolemKey{&term.functor, &term.args}, id);
+  return id;
+}
+
 Value SkolemTable::Intern(const std::string& functor,
                           const std::vector<Value>& args) {
-  SkolemKey key{functor, args};
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_->map.find(key);
-  if (it != index_->map.end()) return Value(SkolemRef{it->second});
-  uint64_t id = terms_.size();
-  terms_.push_back(Term{functor, args});
-  index_->map.emplace(std::move(key), id);
-  return Value(SkolemRef{id});
+  return Value(SkolemRef{InternLocked(functor, args)});
 }
 
 std::vector<Value> SkolemTable::InternBatch(
@@ -165,16 +171,7 @@ std::vector<Value> SkolemTable::InternBatch(
   out.reserve(batch.size());
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [functor, args] : batch) {
-    SkolemKey key{functor, args};
-    auto it = index_->map.find(key);
-    if (it != index_->map.end()) {
-      out.emplace_back(SkolemRef{it->second});
-      continue;
-    }
-    uint64_t id = terms_.size();
-    terms_.push_back(Term{functor, args});
-    index_->map.emplace(std::move(key), id);
-    out.emplace_back(SkolemRef{id});
+    out.emplace_back(SkolemRef{InternLocked(functor, args)});
   }
   return out;
 }

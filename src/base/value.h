@@ -219,17 +219,18 @@ class SkolemTable {
     std::string functor;
     std::vector<Value> args;
   };
-  struct TermKeyHash {
-    size_t operator()(const std::pair<std::string, std::vector<Value>>& k)
-        const;
-  };
+
+  // Returns the id of functor(args), appending a new term on a miss.  A
+  // hit copies nothing.  Caller holds mu_.
+  uint64_t InternLocked(const std::string& functor,
+                        const std::vector<Value>& args);
 
   mutable std::mutex mu_;
   // deque: element addresses survive growth, so FunctorOf/ArgsOf can hand
-  // out references without holding mu_.
+  // out references without holding mu_, and index_ can key on them.
   std::deque<Term> terms_;
-  // Maps (functor, args) to index in terms_.  Kept as a parallel structure
-  // to avoid storing keys twice; see value.cc.
+  // Maps (functor, args) to index in terms_.  Its keys point into terms_,
+  // so every term is stored once; see value.cc.
   struct Index;
   std::shared_ptr<Index> index_;
 

@@ -139,7 +139,7 @@ void DefinedUsePasses(const Program& program, const LintOptions& options,
   for (const vadalog::FactDecl& f : program.facts) defined.insert(f.predicate);
   for (const std::string& p : program.inputs) defined.insert(p);
 
-  if (options.undefined_predicates) {
+  {  // undefined-predicate
     std::set<std::string> reported;
     for (size_t ri = 0; ri < program.rules.size(); ++ri) {
       const Rule& r = program.rules[ri];
@@ -154,14 +154,14 @@ void DefinedUsePasses(const Program& program, const LintOptions& options,
                      "declared @input or @fact");
       }
     }
-    for (size_t i = 0; i < program.outputs.size(); ++i) {
-      const std::string& p = program.outputs[i];
-      if (defined.count(p) > 0 || external.count(p) > 0) continue;
-      SourceLoc loc =
-          i < program.output_locs.size() ? program.output_locs[i] : SourceLoc{};
-      out->Add(Severity::kError, "undefined-predicate", loc, -1,
-               "output predicate " + p + " is never defined");
-    }
+  }
+  for (size_t i = 0; i < program.outputs.size(); ++i) {
+    const std::string& p = program.outputs[i];
+    if (defined.count(p) > 0 || external.count(p) > 0) continue;
+    SourceLoc loc =
+        i < program.output_locs.size() ? program.output_locs[i] : SourceLoc{};
+    out->Add(Severity::kError, "undefined-predicate", loc, -1,
+             "output predicate " + p + " is never defined");
   }
 
   // The unused/unreachable passes only make sense against declared outputs:
@@ -170,7 +170,7 @@ void DefinedUsePasses(const Program& program, const LintOptions& options,
   std::set<std::string> outputs(program.outputs.begin(),
                                 program.outputs.end());
 
-  if (options.unused_predicates) {
+  {  // unused-predicate
     std::set<std::string> used;
     for (const Rule& r : program.rules) {
       for (const Literal& l : r.body) used.insert(l.atom.predicate);
@@ -193,8 +193,8 @@ void DefinedUsePasses(const Program& program, const LintOptions& options,
     }
   }
 
-  if (options.unreachable_rules) {
-    // Reverse reachability from the outputs over head -> body edges.
+  {  // unreachable-rule: reverse reachability from the outputs over
+     // head -> body edges.
     std::set<std::string> reachable = outputs;
     bool changed = true;
     std::vector<bool> rule_reachable(program.rules.size(), false);
@@ -314,7 +314,6 @@ void TypeflowPasses(const Program& program, const LintOptions& options,
   for (const vadalog::TypeflowFinding& f : flow.findings) {
     switch (f.kind) {
       case vadalog::TypeflowFindingKind::kTypeConflict: {
-        if (!options.type_conflict) break;
         SourceLoc loc;
         if (f.rule_index >= 0 &&
             f.rule_index < static_cast<int>(program.rules.size())) {
@@ -325,7 +324,6 @@ void TypeflowPasses(const Program& program, const LintOptions& options,
         break;
       }
       case vadalog::TypeflowFindingKind::kUnsatRule: {
-        if (!options.unsat_rule) break;
         SourceLoc loc;
         if (f.rule_index >= 0 &&
             f.rule_index < static_cast<int>(program.rules.size())) {
@@ -336,7 +334,6 @@ void TypeflowPasses(const Program& program, const LintOptions& options,
         break;
       }
       case vadalog::TypeflowFindingKind::kNullFlow: {
-        if (!options.null_flow) break;
         SourceLoc loc;
         if (f.output_index >= 0 &&
             f.output_index < static_cast<int>(program.output_locs.size())) {
@@ -559,39 +556,24 @@ void PathUnboundPass(const MetaProgram& meta, const LintOptions& options,
 
 LintResult RunLintsImpl(const Program& program, const LintOptions& options) {
   LintResult result;
-  if (options.safety) SafetyPass(program, &result);
-  if (options.stratification) StratificationPass(program, &result);
-  if (options.wardedness) WardednessPass(program, &result);
-  if (options.arity) ArityPass(program, &result);
-  if (options.undefined_predicates || options.unused_predicates ||
-      options.unreachable_rules) {
-    DefinedUsePasses(program, options, &result);
-  }
-  if (options.singleton_variables) SingletonPass(program, &result);
+  SafetyPass(program, &result);
+  StratificationPass(program, &result);
+  WardednessPass(program, &result);
+  ArityPass(program, &result);
+  DefinedUsePasses(program, options, &result);
+  SingletonPass(program, &result);
   // Futility analysis runs the adornment machinery and the typeflow
   // passes run a whole-program abstract interpretation; both are only
   // meaningful over a program the error passes accepted.  Skips are
   // recorded so renderers can say why a pass produced no findings.
-  const bool gated = result.has_errors();
-  if (options.magic_futility) {
-    if (gated) {
-      result.skipped_passes.push_back("magic-futility");
-    } else {
-      MagicFutilityPass(program, &result);
+  if (result.has_errors()) {
+    for (const char* pass :
+         {"magic-futility", "type-conflict", "unsat-rule", "null-flow"}) {
+      result.skipped_passes.push_back(pass);
     }
-  }
-  const bool typeflow_wanted =
-      options.type_conflict || options.unsat_rule || options.null_flow;
-  if (typeflow_wanted) {
-    if (gated) {
-      if (options.type_conflict) {
-        result.skipped_passes.push_back("type-conflict");
-      }
-      if (options.unsat_rule) result.skipped_passes.push_back("unsat-rule");
-      if (options.null_flow) result.skipped_passes.push_back("null-flow");
-    } else {
-      TypeflowPasses(program, options, &result);
-    }
+  } else {
+    MagicFutilityPass(program, &result);
+    TypeflowPasses(program, options, &result);
   }
   return result;
 }
@@ -631,10 +613,8 @@ LintResult LintCompiledMeta(const MetaProgram& meta,
       d.rule_index = rule_origin[d.rule_index];
     }
   }
-  if (options.catalog && base_catalog != nullptr) {
-    CatalogPass(meta, *base_catalog, &result);
-  }
-  if (options.path_unbound) PathUnboundPass(meta, options, &result);
+  if (base_catalog != nullptr) CatalogPass(meta, *base_catalog, &result);
+  PathUnboundPass(meta, options, &result);
   // Star-expansion variants and helper rules can repeat one source-level
   // finding; keep the first occurrence of each.
   Dedup(&result);
@@ -699,10 +679,8 @@ LintResult LintMetaLogSource(std::string_view source,
                mtv.status().message());
     // The MetaLog-level passes still run: they often explain the failure
     // with a better anchor.
-    if (options.catalog && base_catalog != nullptr) {
-      CatalogPass(*meta, *base_catalog, &result);
-    }
-    if (options.path_unbound) PathUnboundPass(*meta, effective, &result);
+    if (base_catalog != nullptr) CatalogPass(*meta, *base_catalog, &result);
+    PathUnboundPass(*meta, effective, &result);
     result.Sort();
     return result;
   }

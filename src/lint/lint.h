@@ -59,26 +59,12 @@
 
 namespace kgm::lint {
 
+// Every pass always runs; a `.kgmlint` `off` entry (LintConfig, config.h)
+// drops a pass's findings.  The magic-futility and typeflow passes
+// (type-conflict, unsat-rule, null-flow) skip — recorded in
+// LintResult::skipped_passes — when error-grade passes already fired,
+// since their analyses are only meaningful over a well-formed program.
 struct LintOptions {
-  bool safety = true;
-  bool stratification = true;
-  bool wardedness = true;
-  bool arity = true;
-  bool undefined_predicates = true;
-  bool unused_predicates = true;
-  bool unreachable_rules = true;
-  bool singleton_variables = true;
-  bool magic_futility = true;
-  // Typeflow passes (vadalog/typeflow.h): like magic-futility they skip —
-  // recorded in LintResult::skipped_passes — when error-grade passes
-  // already fired, since the abstract interpretation is only meaningful
-  // over a well-formed program.
-  bool type_conflict = true;
-  bool unsat_rule = true;
-  bool null_flow = true;
-  // MetaLog-only passes.
-  bool catalog = true;
-  bool path_unbound = true;
   // Predicates defined outside the program (e.g. graph-catalog labels):
   // exempt from the undefined/unused passes.
   std::vector<std::string> external_predicates;

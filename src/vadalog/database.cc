@@ -354,7 +354,7 @@ bool Relation::StageInsert(StageTag tag, Tuple t) {
     ++shard.counters.duplicates;
     return false;
   }
-  // Duplicates *within* the barrier are not chased here: DrainStaged
+  // Duplicates *within* the barrier are not chased here: the drain
   // appends in ascending tag order and drops any tuple already appended,
   // so the minimum-tag occurrence survives without a staging-side index.
   // That keeps this hot path to one hash, one lock, and one push.
@@ -452,11 +452,6 @@ size_t Relation::DrainPrepared() {
   }
   if (appended > 0) ++version_;
   return appended;
-}
-
-size_t Relation::DrainStaged() {
-  for (size_t i = 0; i < shards_.size(); ++i) PrepareStagedShard(i);
-  return DrainPrepared();
 }
 
 void Relation::DiscardStaged() {

@@ -37,8 +37,9 @@
 // phase the canonical store is frozen; work items call StageInsert, which
 // dedups against the canonical store under only that shard's lock.  Every
 // staged tuple carries a (work-item, sequence) tag.  At the barrier
-// DrainStaged appends the staged tuples to the canonical store in ascending
-// tag order, dropping same-barrier duplicates as they surface — so the
+// PrepareStagedShard (per shard) and DrainPrepared append the staged
+// tuples to the canonical store in ascending tag order, dropping
+// same-barrier duplicates as they surface — so the
 // minimum-tag copy of every tuple survives regardless of thread scheduling,
 // which makes canonical row order — and therefore everything downstream of
 // it — deterministic for any worker count.
@@ -175,7 +176,7 @@ class Relation {
   // number of threads may call this (and the probes below) on a relation
   // nobody writes — a snapshot relation shared by concurrent queries is
   // indexed once per mask.  Once built, indexes are maintained
-  // incrementally by Insert and DrainStaged, so the engine calls this
+  // incrementally by Insert and DrainPrepared, so the engine calls this
   // before a parallel phase and probes with LookupBuilt.
   void EnsureIndex(uint64_t mask) const;
 
@@ -221,10 +222,10 @@ class Relation {
 
   // Thread-safe dedup-on-insert into the staging area.  Returns true if
   // the tuple was staged (i.e. absent from the canonical store); tuples
-  // staged more than once within a barrier are resolved at DrainStaged,
+  // staged more than once within a barrier are resolved at the drain,
   // where the minimum-tag copy wins, so canonical order stays
   // schedule-independent.  The caller must keep the canonical store frozen
-  // (no Insert / EnsureIndex / DrainStaged) while stagings are in flight.
+  // (no Insert / EnsureIndex / drain) while stagings are in flight.
   bool StageInsert(StageTag tag, Tuple t);
 
   // Number of staged tuples.  Driver-only: not safe while StageInsert
@@ -236,15 +237,12 @@ class Relation {
     return shards_[shard_index]->staged.size();
   }
 
-  // Appends the staged tuples to the canonical store in ascending tag
-  // order, dropping same-barrier duplicates and maintaining the dedup
-  // table and every built index; returns the number of rows appended
-  // (their row ids are [old size, new size)).  Reclassifies dropped
-  // duplicates in the shard counters.  Driver-only.  Equivalent to
-  // PrepareStagedShard on every shard followed by DrainPrepared.
-  size_t DrainStaged();
-
-  // Phase 1 of a two-phase drain, parallelizable per shard: sorts shard
+  // The drain appends the staged tuples to the canonical store in
+  // ascending tag order, dropping same-barrier duplicates and maintaining
+  // the dedup table and every built index.  It runs PrepareStagedShard on
+  // every shard, then DrainPrepared once.
+  //
+  // Phase 1, parallelizable per shard: sorts shard
   // `shard_index`'s staged tuples by tag, drops same-barrier duplicates
   // (equal tuples share a full hash, so every copy routes to the same
   // shard — dedup is shard-local and the minimum-tag copy survives), and
@@ -257,7 +255,9 @@ class Relation {
   // ascending tag order.  After PrepareStagedShard every surviving tuple
   // is globally unique and absent from the canonical store, so this is a
   // pure merge-append — no hashing, no tuple comparisons.  Driver-only
-  // (one caller per relation); returns the number of rows appended.
+  // (one caller per relation); returns the number of rows appended (their
+  // row ids are [old size, new size)).  Dropped duplicates are reclassified
+  // in the shard counters.
   size_t DrainPrepared();
 
   // Drops all staged tuples (used on error paths).  Driver-only.

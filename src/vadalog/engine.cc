@@ -849,9 +849,8 @@ Status Engine::Impl::Run(FactDb* target) {
     // Spread the dedup tables over enough shards that concurrent StageInsert
     // calls rarely collide on a lock.  Barrier-chase runs skip resharding:
     // every insert happens on the driver during the ordered replay.
-    size_t shards = options.num_shards != 0
-                        ? options.num_shards
-                        : std::min<size_t>(num_workers * 4, 64);
+    // Sequential runs keep single-shard relations.
+    const size_t shards = std::min<size_t>(num_workers * 4, 64);
     size_t pow2 = 1;
     while (pow2 < shards) pow2 <<= 1;
     db->ReshardAll(pow2);

@@ -57,8 +57,10 @@ struct EngineOptions {
   // 1 = single-threaded evaluation.  With more than one thread the engine
   // evaluates Phase-A (rule x scan-partition) and Phase-B (rule x
   // delta-literal x delta-partition) work items concurrently.  Work items
-  // insert derived facts directly into the sharded FactDb (dedup-on-insert
-  // under per-shard locks, tagged with the work-item submission order); at
+  // insert derived facts directly into the sharded FactDb (min(4 x
+  // threads, 64) shards per relation, rounded up to a power of two;
+  // dedup-on-insert under per-shard locks, tagged with the work-item
+  // submission order); at
   // the iteration barrier the shards are drained into the canonical store
   // in tag order, so results are deterministic for any worker count (see
   // DESIGN.md, "Sharded FactDb & deterministic merge").  Restricted-chase
@@ -80,10 +82,6 @@ struct EngineOptions {
   // even single-threaded.  Ignored unless the program has existentials
   // under ChaseMode::kRestricted.
   bool legacy_sequential_chase = false;
-  // Shards per relation for the parallel path (rounded up to a power of
-  // two).  0 = auto: scales with the worker count.  Ignored by sequential
-  // runs, which keep single-shard relations.
-  size_t num_shards = 0;
   // Cooperative deadline: when set (non-default time_point), the engine
   // polls the clock at evaluation checkpoints — stratum/batch boundaries,
   // every fixpoint iteration, and every few tens of thousands of join
@@ -146,7 +144,7 @@ struct EngineStats {
   bool point_query = false;    // stats describe a point-query evaluation
   size_t magic_rewrites = 0;   // magic-sets rewrites applied (0 or 1)
   size_t magic_fallbacks = 0;  // fell back to full materialization (0 or 1)
-  size_t magic_subqueries = 0; // adorned predicates / QSQR subqueries
+  size_t magic_subqueries = 0; // adorned predicates
   size_t magic_rules = 0;      // magic + guarded + copy rules emitted
 };
 

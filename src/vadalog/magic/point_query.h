@@ -5,13 +5,12 @@
 //                 one (indexed) relation probe, no reasoning at all;
 //   kMagic        magic-sets rewrite (magic.h) + the ordinary bottom-up
 //                 engine over the rewritten program;
-//   kQsqr         on-demand top-down evaluation (qsqr.h), tried when the
-//                 rewrite gave up (adornment explosion / rejected program)
-//                 and the cone fits QSQR's fragment;
 //   kMaterialize  full bottom-up evaluation, then filter the output
-//                 relation by the binding — the always-correct fallback,
-//                 and the differential baseline the harness compares
-//                 every other mode against.
+//                 relation by the binding — the always-correct fallback
+//                 (taken whenever the rewrite does not apply, explodes or
+//                 is rejected; stats.fallback says why), and the
+//                 differential baseline the harness compares every other
+//                 mode against.
 //
 // All modes answer against the caller's FactDb (the serving layer passes
 // a copy-on-write clone of the pinned epoch snapshot) and produce answer
@@ -36,7 +35,6 @@ enum class PointQueryMode {
   kOff = 0,      // not a point query (no binding given)
   kEdbLookup,    // direct indexed lookup on an extensional predicate
   kMagic,        // magic-sets rewrite + bottom-up engine
-  kQsqr,         // on-demand top-down evaluation
   kMaterialize,  // full evaluation + scan filter (fallback / baseline)
 };
 
@@ -47,10 +45,7 @@ struct PointQueryOptions {
   // threads, chase mode all honored).
   EngineOptions engine;
   RewriteOptions rewrite;
-  bool allow_magic = true;
-  bool allow_qsqr = true;
-  // Diagnostics/benchmarks: skip straight to a specific route.
-  bool force_qsqr = false;
+  // Diagnostics/benchmarks: skip straight to the materialize route.
   bool force_materialize = false;
 };
 
@@ -62,7 +57,7 @@ struct PointQueryStats {
   // was attempted).
   std::vector<AdornedPredicate> adorned;
   std::vector<std::string> full_required;
-  // Engine/evaluator counters with the magic_* fields filled in; for
+  // Engine counters with the magic_* fields filled in; for
   // kMaterialize, join_probes additionally counts the final filter scan
   // (that's the honest materialize-then-scan cost).
   EngineStats engine;
@@ -70,10 +65,11 @@ struct PointQueryStats {
 };
 
 // Evaluates `query` over `program` against `db` (mutated: derived facts,
-// memo tables and program facts land in it — pass a copy-on-write clone
-// for isolation; it copies only the relations the evaluation writes).  Answer tuples agree with every bound position of the
-// binding; their order is deterministic for a given (program, db,
-// options) but differs between modes.
+// magic relations and program facts land in it — pass a copy-on-write
+// clone for isolation; it copies only the relations the evaluation
+// writes).  Answer tuples agree with every bound position of the binding;
+// their order is deterministic for a given (program, db, options) but
+// differs between modes.
 Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
                                           const QueryBinding& query,
                                           FactDb* db,

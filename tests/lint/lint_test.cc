@@ -11,6 +11,7 @@
 
 #include "finkg/company_kg.h"
 #include "instance/pipeline.h"
+#include "lint/config.h"
 #include "service/service.h"
 #include "vadalog/parser.h"
 
@@ -158,18 +159,13 @@ TEST(LintVadalogTest, MagicFutilityWarnsWhenBindingNeverReachesRecursion) {
       << d->message;
   EXPECT_FALSE(result.has_errors());
 
-  LintOptions off;
-  off.magic_futility = false;
-  vadalog::Program program;
-  auto parsed = vadalog::ParseProgram(
-      "@input(\"edge\").\n"
-      "@input(\"flag\").\n"
-      "edge(x, y) -> tc(x, y).\n"
-      "tc(x, y), edge(y, z) -> tc(x, z).\n"
-      "flag(c), tc(_x, _y) -> out(c).\n"
-      "@output(\"out\").\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(FindPass(RunLints(*parsed, off), "magic-futility"), nullptr);
+  // A `.kgmlint` `off` entry silences the pass.
+  std::string config_error;
+  LintConfig off = ParseLintConfig("magic-futility = off\n", &config_error);
+  ASSERT_TRUE(config_error.empty()) << config_error;
+  off.Apply(&result);
+  EXPECT_EQ(FindPass(result, "magic-futility"), nullptr)
+      << RenderText(result);
 }
 
 TEST(LintVadalogTest, MagicFutilityWarnsOnAggregateFallback) {

@@ -247,26 +247,10 @@ TEST(EngineParallelTest, StatsArePopulated) {
   EXPECT_EQ(by_shard_total, stats.staged_inserts);
 }
 
-TEST(EngineParallelTest, ExplicitShardCountIsHonored) {
-  FactDb db = RandomEdges(30, 60, 3);
-  auto parsed = ParseProgram(R"(
-    edge(x, y) -> path(x, y).
-    path(x, y), edge(y, z) -> path(x, z).
-  )");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EngineOptions options;
-  options.num_threads = 4;
-  options.num_shards = 5;  // rounded up to the next power of two
-  Engine engine(std::move(parsed).value(), options);
-  ASSERT_TRUE(engine.status().ok());
-  ASSERT_TRUE(engine.Run(&db).ok());
-  EXPECT_EQ(engine.stats().shard_count, 8u);
-  EXPECT_EQ(db.default_shard_count(), 8u);
-}
-
 // A stratified (non-monotonic) float sum evaluated by parallel scan
 // partitions plus the parallel group-emission round must be bit-identical
-// to the sequential fold: same groups, same IEEE addition order.
+// to the sequential fold at every thread count (and so every automatic
+// shard count): same groups, same IEEE addition order.
 TEST(EngineParallelTest, StratifiedFloatSumIsBitIdentical) {
   const char* program = R"(
     w(g, v), t = sum(v, <g>) -> total(g, t).
@@ -287,24 +271,23 @@ TEST(EngineParallelTest, StratifiedFloatSumIsBitIdentical) {
   EngineOptions seq_opts;
   seq_opts.num_threads = 1;
   ASSERT_TRUE(RunProgram(program, &seq, seq_opts).ok());
-  for (size_t shards : {1u, 4u, 16u}) {
+  for (size_t threads : {2u, 4u, 8u}) {
     FactDb par;
     load(&par);
     EngineOptions par_opts;
-    par_opts.num_threads = 8;
-    par_opts.num_shards = shards;
+    par_opts.num_threads = threads;
     ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
     const Relation* a = seq.Get("total");
     const Relation* b = par.Get("total");
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
-    ASSERT_EQ(a->size(), b->size()) << "shards " << shards;
+    ASSERT_EQ(a->size(), b->size()) << "threads " << threads;
     ASSERT_GT(a->size(), 0u);
     // Compare Value-exact (operator== on doubles), not via ToString, so a
     // single flipped mantissa bit fails the test.
     for (const Tuple& t : a->tuples()) {
       EXPECT_TRUE(b->Contains(t))
-          << "shards " << shards << ": missing " << t[0].ToString() << ", "
+          << "threads " << threads << ": missing " << t[0].ToString() << ", "
           << t[1].ToString();
     }
   }
@@ -352,12 +335,12 @@ class IntensionalParallelTest : public ::testing::Test {
     return out;
   }
 
-  // Runs `program` once with num_threads = 1 and once with 8 threads at
-  // each shard count in `shard_counts`, and demands identical edge sets.
+  // Runs `program` once with num_threads = 1 and once at each of 2, 4 and
+  // 8 threads (8, 16 and 32 shards per relation), and demands identical
+  // edge sets.
   static void CheckProgram(const char* program,
                            const std::vector<std::string>& labels,
-                           const std::vector<const char*>& prereqs = {},
-                           const std::vector<size_t>& shard_counts = {0}) {
+                           const std::vector<const char*>& prereqs = {}) {
     core::SuperSchema schema = finkg::CompanyKgSchema();
     pg::PropertyGraph seq = MakeData();
     instance::MaterializeOptions seq_opts;
@@ -369,21 +352,21 @@ class IntensionalParallelTest : public ::testing::Test {
     }
     auto seq_stats = instance::Materialize(schema, program, &seq, seq_opts);
     ASSERT_TRUE(seq_stats.ok()) << seq_stats.status().ToString();
-    for (size_t shards : shard_counts) {
+    for (size_t threads : {2u, 4u, 8u}) {
       pg::PropertyGraph par = MakeData();
       instance::MaterializeOptions par_opts;
-      par_opts.engine.num_threads = 8;
-      par_opts.engine.num_shards = shards;
+      par_opts.engine.num_threads = threads;
       for (const char* prereq : prereqs) {
         ASSERT_TRUE(
             instance::Materialize(schema, prereq, &par, seq_opts).ok());
       }
       auto par_stats = instance::Materialize(schema, program, &par, par_opts);
       ASSERT_TRUE(par_stats.ok()) << par_stats.status().ToString();
-      EXPECT_EQ(par_stats->engine_stats.threads_used, 8u);
+      EXPECT_EQ(par_stats->engine_stats.threads_used, threads);
+      EXPECT_EQ(par_stats->engine_stats.shard_count, 4 * threads);
       for (const std::string& label : labels) {
         EXPECT_EQ(EdgeSet(seq, label), EdgeSet(par, label))
-            << "label " << label << " shards " << shards;
+            << "label " << label << " threads " << threads;
         EXPECT_GT(EdgeSet(seq, label).size(), 0u) << "label " << label;
       }
     }
@@ -391,12 +374,12 @@ class IntensionalParallelTest : public ::testing::Test {
 };
 
 TEST_F(IntensionalParallelTest, ControlProgramIsDeterministic) {
-  CheckProgram(finkg::kControlProgram, {"CONTROLS"}, {}, {1, 4, 16});
+  CheckProgram(finkg::kControlProgram, {"CONTROLS"});
 }
 
 TEST_F(IntensionalParallelTest, CloseLinksProgramIsDeterministic) {
   CheckProgram(finkg::kCloseLinksProgram, {"IO", "CLOSE_LINK"},
-               {finkg::kOwnsProgram}, {1, 4, 16});
+               {finkg::kOwnsProgram});
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ run ctest --test-dir build --output-on-failure -j "$JOBS"
 run ./build/examples/kgmctl lint --schema company examples/programs/*
 
 # Point queries must answer exactly what full materialization answers:
-# `kgmctl query` evaluates each binding through the magic-sets / QSQR
+# `kgmctl query` evaluates each binding through the magic-sets point-query
 # dispatcher and through the materialize-then-filter baseline, and exits
 # non-zero unless the two answer sets are equal.  The bindings cover both
 # reach adornments (bf, fb) and a 3-position CLOSE_LINKS binding; all three
@@ -113,7 +113,7 @@ fi
 # exercises delta maintenance (DRed + stratum recompute) under both
 # sanitizers.  vadalog_ also matches vadalog_database_test (sharded
 # staging and lazily built shared indexes) and vadalog_magic_test;
-# finkg_pointquery runs the point-query differential (magic/QSQR vs full
+# finkg_pointquery runs the point-query differential (magic vs full
 # materialization) at 1 and 4 threads.
 SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery'
 
