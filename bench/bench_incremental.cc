@@ -296,7 +296,9 @@ bool WriteSection(const std::string& path, const std::string& section) {
            (out.back() == '\n' || out.back() == ' ' || out.back() == '\t')) {
       out.pop_back();
     }
-    out += ",\n  \"incremental\": " + section + "\n}\n";
+    // An empty object has no last field to separate from.
+    if (out.empty() || out.back() != '{') out += ",";
+    out += "\n  \"incremental\": " + section + "\n}\n";
   } else {
     out = "{\n  \"incremental\": " + section + "\n}\n";
   }

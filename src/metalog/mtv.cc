@@ -93,6 +93,11 @@ class Translator {
     std::string left_var;
     std::string right_var;
     Literal closure_literal;  // beta(left, right, params...)
+    // Where the star occurred: the size of the rule body at that point.  A
+    // variant inserts the closure literal here, so it joins right after
+    // the star's left node literal, as '+' does, instead of after the
+    // whole pattern has been enumerated.
+    size_t body_pos = 0;
   };
 
   // All generated rules go through here: every rule carries the source
@@ -420,7 +425,7 @@ Status Translator::EmitPath(const PathPtr& path, const std::string& lv,
       KGM_ASSIGN_OR_RETURN(Literal lit,
                            BuildClosure(path->children[0], lv, rv));
       if (options_.reflexive_star && allow_star_marker) {
-        stars_.push_back(StarUse{lv, rv, std::move(lit)});
+        stars_.push_back(StarUse{lv, rv, std::move(lit), rule->body.size()});
         return OkStatus();
       }
       if (options_.reflexive_star) {
@@ -674,13 +679,20 @@ Status Translator::TranslateRule(const MetaRule& rule, int rule_index) {
   size_t variants = 1ULL << stars_.size();
   for (size_t mask = 0; mask < variants; ++mask) {
     Rule variant = main;
-    for (size_t si = 0; si < stars_.size(); ++si) {
-      const StarUse& star = stars_[si];
+    // Stars are recorded in body order; inserting the last first keeps
+    // the earlier positions valid.
+    for (size_t si = stars_.size(); si-- > 0;) {
       if (mask & (1ULL << si)) {
-        variant.body.push_back(star.closure_literal);
-      } else {
-        // Empty path: unify the right endpoint with the left one.
-        RenameVar(&variant, star.right_var, star.left_var);
+        variant.body.insert(variant.body.begin() + stars_[si].body_pos,
+                            stars_[si].closure_literal);
+      }
+    }
+    // Empty paths unify the right endpoint with the left one.  Renaming
+    // after the inserts reaches the closure literals too, and renaming the
+    // last star first collapses a chain of empty stars onto its first node.
+    for (size_t si = stars_.size(); si-- > 0;) {
+      if (!(mask & (1ULL << si))) {
+        RenameVar(&variant, stars_[si].right_var, stars_[si].left_var);
       }
     }
     AppendRule(std::move(variant));

@@ -20,8 +20,6 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
-const std::vector<uint32_t> Relation::kEmptyRows;
-
 size_t HashTuple(const Tuple& t) {
   size_t h = 0x8f3a7b12;
   for (const Value& v : t) h = HashCombine(h, v.Hash());
@@ -134,6 +132,76 @@ void Relation::DedupTable::Rehash(size_t capacity) {
   }
 }
 
+Relation::RowRange Relation::ChainIndex::Find(size_t hash) const {
+  if (keys_ == 0) return RowRange();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(hash);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.first == kChainEnd) return RowRange();
+    if (s.hash == hash) return RowRange(&next_row_, s.first);
+  }
+}
+
+Relation::ChainIndex::Slot& Relation::ChainIndex::SlotFor(size_t hash) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(hash);; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.first == kChainEnd || s.hash == hash) return s;
+  }
+}
+
+void Relation::ChainIndex::Append(size_t hash, uint32_t row) {
+  next_row_.push_back(kChainEnd);
+  // At most 3/4 full, so every probe sequence ends at an empty slot.
+  if ((keys_ + 1) * 4 > slots_.size() * 3) {
+    Rehash(std::max<size_t>(slots_.size() * 2, 8));
+  }
+  Slot& s = SlotFor(hash);
+  if (s.first == kChainEnd) {
+    s = Slot{hash, row, row};
+    ++keys_;
+  } else {
+    next_row_[s.last] = row;
+    s.last = row;
+  }
+}
+
+void Relation::ChainIndex::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+  for (const Slot& s : old) {
+    if (s.first != kChainEnd) SlotFor(s.hash) = s;
+  }
+}
+
+void Relation::ChainIndex::Compact(const std::vector<char>& dead,
+                                   const std::vector<uint32_t>& remap,
+                                   size_t rows) {
+  std::vector<uint32_t> next_row(rows, kChainEnd);
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size(), Slot{});
+  keys_ = 0;
+  for (const Slot& s : old) {
+    if (s.first == kChainEnd) continue;
+    // The remap preserves row order, so the relinked chain stays ascending.
+    Slot fresh{s.hash, kChainEnd, kChainEnd};
+    for (uint32_t r = s.first; r != kChainEnd; r = next_row_[r]) {
+      if (dead[r]) continue;
+      if (fresh.first == kChainEnd) {
+        fresh.first = remap[r];
+      } else {
+        next_row[fresh.last] = remap[r];
+      }
+      fresh.last = remap[r];
+    }
+    if (fresh.first == kChainEnd) continue;
+    SlotFor(s.hash) = fresh;
+    ++keys_;
+  }
+  next_row_ = std::move(next_row);
+}
+
 Relation::Relation(size_t arity, size_t shard_count) : arity_(arity) {
   shard_count = RoundUpPow2(shard_count);
   shards_.reserve(shard_count);
@@ -156,8 +224,8 @@ Relation Relation::Clone() const {
     out.shards_[i]->dedup = shards_[i]->dedup;
   }
   // Copy the built indexes oldest first so the copy lists them in the same
-  // order.  A concurrent build may publish a newer index meanwhile; the copy
-  // simply does not see it.
+  // order; each copies as its slot and link arrays.  A concurrent build may
+  // publish a newer index meanwhile; the copy simply does not see it.
   std::vector<const IndexNode*> built;
   for (const IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
     built.push_back(n);
@@ -194,7 +262,7 @@ bool Relation::Insert(Tuple t) {
     return false;
   }
   for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
-    n->index[hasher.Masked(n->mask)].rows.push_back(row);
+    n->index.Append(hasher.Masked(n->mask), row);
   }
   tuples_.push_back(std::move(t));
   ++version_;
@@ -217,12 +285,11 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
   }
   if (erased == 0) return 0;
   // Order-preserving compaction shifts the surviving row ids, but every
-  // content hash stays the same, so the dedup tables are rebuilt from the
-  // survivors' stored hashes and the built indexes are patched in place:
-  // drop dead entries, remap the rest.  This keeps a deletion at
-  // O(entries) integer work instead of rehashing every tuple — the
-  // difference dominates incremental maintenance, which erases from large
-  // relations on every delta batch.
+  // content hash stays the same, so the dedup tables and the built indexes
+  // are rebuilt from their stored hashes: drop dead entries, remap the
+  // rest.  This keeps a deletion at O(entries) integer work instead of
+  // rehashing every tuple — the difference dominates incremental
+  // maintenance, which erases from large relations on every delta batch.
   std::vector<uint32_t> remap(tuples_.size());
   uint32_t next = 0;
   for (size_t i = 0; i < tuples_.size(); ++i) {
@@ -235,13 +302,6 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
     if (!dead[i]) kept.push_back(std::move(tuples_[i]));
   }
   tuples_ = std::move(kept);
-  auto patch_rows = [&](std::vector<uint32_t>& rows) {
-    size_t w = 0;
-    for (uint32_t row : rows) {
-      if (!dead[row]) rows[w++] = remap[row];
-    }
-    rows.resize(w);
-  };
   for (auto& shard : shards_) {
     DedupTable survivors;
     survivors.Reserve(shard->dedup.size());
@@ -251,10 +311,7 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
     shard->dedup = std::move(survivors);
   }
   for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
-    for (auto it = n->index.begin(); it != n->index.end();) {
-      patch_rows(it->second.rows);
-      it = it->second.rows.empty() ? n->index.erase(it) : std::next(it);
-    }
+    n->index.Compact(dead, remap, tuples_.size());
   }
   ++version_;
   return erased;
@@ -264,16 +321,17 @@ bool Relation::Contains(const Tuple& t) const {
   return FindRow(t) != kNoRow;
 }
 
-const Relation::HashIndex& Relation::BuildIndex(uint64_t mask) const {
+const Relation::ChainIndex& Relation::BuildIndex(uint64_t mask) const {
   KGM_CHECK(mask != 0);
   std::lock_guard<std::mutex> lock(indexes_.build_mu);
   // Another thread may have published it while this one waited.
-  if (const HashIndex* built = indexes_.Find(mask)) return *built;
+  if (const ChainIndex* built = indexes_.Find(mask)) return *built;
   auto node = std::make_unique<IndexNode>();
   node->mask = mask;
+  node->index.ReserveRows(tuples_.size());
   for (size_t row = 0; row < tuples_.size(); ++row) {
-    node->index[HashTupleMasked(tuples_[row], mask)].rows.push_back(
-        static_cast<uint32_t>(row));
+    node->index.Append(HashTupleMasked(tuples_[row], mask),
+                       static_cast<uint32_t>(row));
   }
   node->next = indexes_.first();
   indexes_.head.store(node.get(), std::memory_order_release);
@@ -281,36 +339,28 @@ const Relation::HashIndex& Relation::BuildIndex(uint64_t mask) const {
   return node.release()->index;
 }
 
-const std::vector<uint32_t>& Relation::Probe(const HashIndex& index,
-                                             uint64_t mask,
-                                             const Tuple& probe) {
-  auto bucket = index.find(HashTupleMasked(probe, mask));
-  if (bucket == index.end()) return kEmptyRows;
-  return bucket->second.rows;
-}
-
 void Relation::EnsureIndex(uint64_t mask) const {
   if (indexes_.Find(mask) == nullptr) BuildIndex(mask);
 }
 
-const std::vector<uint32_t>& Relation::Lookup(uint64_t mask,
-                                              const Tuple& probe) const {
-  const HashIndex* index = indexes_.Find(mask);
-  return Probe(index != nullptr ? *index : BuildIndex(mask), mask, probe);
+Relation::RowRange Relation::Lookup(uint64_t mask, const Tuple& probe) const {
+  const ChainIndex* index = indexes_.Find(mask);
+  if (index == nullptr) index = &BuildIndex(mask);
+  return index->Find(HashTupleMasked(probe, mask));
 }
 
-const std::vector<uint32_t>& Relation::LookupBuilt(uint64_t mask,
-                                                   const Tuple& probe) const {
-  const HashIndex* index = indexes_.Find(mask);
+Relation::RowRange Relation::LookupBuilt(uint64_t mask,
+                                         const Tuple& probe) const {
+  const ChainIndex* index = indexes_.Find(mask);
   KGM_CHECK(index != nullptr);
-  return Probe(*index, mask, probe);
+  return index->Find(HashTupleMasked(probe, mask));
 }
 
-const std::vector<uint32_t>* Relation::TryLookupBuilt(
+std::optional<Relation::RowRange> Relation::TryLookupBuilt(
     uint64_t mask, const Tuple& probe) const {
-  const HashIndex* index = indexes_.Find(mask);
-  if (index == nullptr) return nullptr;
-  return &Probe(*index, mask, probe);
+  const ChainIndex* index = indexes_.Find(mask);
+  if (index == nullptr) return std::nullopt;
+  return index->Find(HashTupleMasked(probe, mask));
 }
 
 void Relation::Reshard(size_t shard_count) {
@@ -441,7 +491,7 @@ size_t Relation::DrainPrepared() {
     ShardFor(e.hash).dedup.Insert(e.hash, row);
     size_t ii = 0;
     for (IndexNode* n = indexes_.first(); n != nullptr; n = n->next) {
-      n->index[e.index_hashes[ii++]].rows.push_back(row);
+      n->index.Append(e.index_hashes[ii++], row);
     }
     tuples_.push_back(std::move(e.tuple));
     fingerprint_ ^= e.hash;

@@ -22,6 +22,16 @@
 // a hash match.  The table never hashes a tuple again once stored: growth,
 // Reshard, Clone and EraseTuples move or copy the stored hashes.
 //
+// Secondary indexes.  A built index is chained: one flat open-addressing
+// table maps each masked hash to the first and last row of its chain, and
+// a per-index `next_row` array links every row to the next row with the
+// same masked hash.  An append links the new row at its chain's tail, so
+// every chain lists its rows in ascending row order, and a walk in
+// progress (Lookup's RowRange) still reaches rows appended during the
+// walk.  Like the dedup table, an index never hashes a tuple again once
+// built: Clone copies its two arrays, and EraseTuples relinks the chains
+// through the row remap, keeping each slot's stored hash.
+//
 // Input mark.  A relation can mark its current rows as input
 // (MarkInput); rows appended later are the derived rows.  The mark
 // survives Clone and Reshard and drops by the number of input rows that
@@ -52,8 +62,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -166,10 +176,48 @@ class Relation {
   static constexpr size_t kNoRow = static_cast<size_t>(-1);
   size_t RowOf(const Tuple& t) const { return FindRow(t); }
 
-  // Row indices whose masked positions equal the corresponding positions of
-  // `probe`.  Builds the hash index for `mask` on first use (see
-  // EnsureIndex).  mask must have at least one bit set and fit the arity.
-  const std::vector<uint32_t>& Lookup(uint64_t mask, const Tuple& probe) const;
+  // The rows of one index chain, in ascending row order: every row whose
+  // masked hash equals the probe's (a hash collision can add rows whose
+  // masked positions differ, so callers verify with MatchesMasked).  The
+  // iterator reads a row's chain link when it advances, so a walk sees
+  // rows that an Insert appends to the chain mid-walk.  A range stays
+  // valid while the relation lives and is not erased from.
+  class RowRange {
+   public:
+    class iterator {
+     public:
+      uint32_t operator*() const { return row_; }
+      iterator& operator++() {
+        row_ = (*next_row_)[row_];
+        return *this;
+      }
+      bool operator==(const iterator& o) const { return row_ == o.row_; }
+
+     private:
+      friend class RowRange;
+      iterator(const std::vector<uint32_t>* next_row, uint32_t row)
+          : next_row_(next_row), row_(row) {}
+      const std::vector<uint32_t>* next_row_;
+      uint32_t row_;
+    };
+
+    RowRange() = default;
+    iterator begin() const { return iterator(next_row_, first_); }
+    iterator end() const { return iterator(next_row_, kChainEnd); }
+
+   private:
+    friend class Relation;
+    RowRange(const std::vector<uint32_t>* next_row, uint32_t first)
+        : next_row_(next_row), first_(first) {}
+    const std::vector<uint32_t>* next_row_ = nullptr;
+    uint32_t first_ = kChainEnd;
+  };
+
+  // Rows whose masked positions may equal the corresponding positions of
+  // `probe` (see RowRange).  Builds the hash index for `mask` on first use
+  // (see EnsureIndex).  mask must have at least one bit set and fit the
+  // arity.
+  RowRange Lookup(uint64_t mask, const Tuple& probe) const;
 
   // Builds the hash index for `mask` unless it exists.  Builds serialize on
   // the relation's index lock and publish the finished index, so any
@@ -189,15 +237,14 @@ class Relation {
   // Read-only probe: like Lookup, but requires EnsureIndex(mask) to have
   // been called.  Lock-free; safe to call concurrently with other const
   // methods.
-  const std::vector<uint32_t>& LookupBuilt(uint64_t mask,
-                                           const Tuple& probe) const;
+  RowRange LookupBuilt(uint64_t mask, const Tuple& probe) const;
 
-  // Read-only probe that tolerates a missing index: returns nullptr when
+  // Read-only probe that tolerates a missing index: returns nullopt when
   // no index has been built for `mask` (the caller falls back to a masked
   // scan) instead of CHECK-failing like LookupBuilt.  Lock-free; safe to
   // call concurrently with other const methods.
-  const std::vector<uint32_t>* TryLookupBuilt(uint64_t mask,
-                                              const Tuple& probe) const;
+  std::optional<RowRange> TryLookupBuilt(uint64_t mask,
+                                         const Tuple& probe) const;
 
   // True if row `i`'s masked positions equal those of `probe`.  Inline:
   // this is the verification step of every index probe, one of the
@@ -269,15 +316,50 @@ class Relation {
                                ShardCounters* total) const;
 
  private:
-  struct Bucket {
-    std::vector<uint32_t> rows;
+  static constexpr uint32_t kChainEnd = static_cast<uint32_t>(-1);
+
+  // One built secondary index (see the header comment).  `slots_` is an
+  // open-addressing (linear probing) table of chains keyed by masked hash;
+  // capacity is zero or a power of two, at most 3/4 full.  `next_row_` has
+  // one entry per row of the relation.
+  class ChainIndex {
+   public:
+    RowRange Find(size_t hash) const;
+    // Links `row`, which must be the relation's next row id, at the tail
+    // of the chain for `hash`.
+    void Append(size_t hash, uint32_t row);
+    // Reserves the row links for `rows` rows in total.
+    void ReserveRows(size_t rows) { next_row_.reserve(rows); }
+    // Drops the `dead` rows and renumbers the rest through `remap` (an
+    // order-preserving compaction to `rows` rows).  Chains are relinked by
+    // walking them; slots move by their stored hash, chains left empty
+    // disappear.
+    void Compact(const std::vector<char>& dead,
+                 const std::vector<uint32_t>& remap, size_t rows);
+
+   private:
+    struct Slot {
+      uint64_t hash = 0;
+      uint32_t first = kChainEnd;  // kChainEnd marks an empty slot
+      uint32_t last = kChainEnd;
+    };
+    size_t Home(size_t hash) const {
+      return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    // The slot holding `hash`'s chain, or the empty slot it would take.
+    Slot& SlotFor(size_t hash);
+    void Rehash(size_t capacity);
+
+    std::vector<Slot> slots_;
+    std::vector<uint32_t> next_row_;
+    size_t keys_ = 0;
+    unsigned shift_ = 64;
   };
-  using HashIndex = std::unordered_map<size_t, Bucket>;
 
   // One built hash index.
   struct IndexNode {
     uint64_t mask = 0;
-    HashIndex index;
+    ChainIndex index;
     IndexNode* next = nullptr;  // the index built before this one
   };
 
@@ -299,7 +381,7 @@ class Relation {
 
     void Clear();
     IndexNode* first() const { return head.load(std::memory_order_acquire); }
-    const HashIndex* Find(uint64_t mask) const {
+    const ChainIndex* Find(uint64_t mask) const {
       for (const IndexNode* n = first(); n != nullptr; n = n->next) {
         if (n->mask == mask) return &n->index;
       }
@@ -374,9 +456,7 @@ class Relation {
   size_t FindRow(const Tuple& t) const;
   // Builds and publishes the index for `mask` under the index lock, or
   // returns the one another thread published first.
-  const HashIndex& BuildIndex(uint64_t mask) const;
-  static const std::vector<uint32_t>& Probe(const HashIndex& index,
-                                            uint64_t mask, const Tuple& probe);
+  const ChainIndex& BuildIndex(uint64_t mask) const;
   // Canonical-store membership by precomputed hash.  Read-only.
   bool CanonicalContains(const Shard& shard, size_t hash,
                          const Tuple& t) const;
@@ -390,7 +470,6 @@ class Relation {
   size_t shard_mask_ = 0;
   // Mutable: building an index does not change the relation's contents.
   mutable IndexList indexes_;
-  static const std::vector<uint32_t> kEmptyRows;
 };
 
 class FactDb {

@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -39,14 +40,16 @@ struct CompiledLiteral {
   // variables bound by earlier body literals.  Statically known because
   // literals are joined in textual order.
   uint64_t static_mask = 0;
-  // Relation resolved by the last PrepareJoinIndexes call (nullptr when the
-  // predicate does not exist yet).  Only trusted under a frozen context —
-  // the canonical store cannot gain relations mid-phase there, and the
-  // driver refreshes the cache at every barrier; the mutating sequential
-  // path re-resolves per probe because head emission can create the
-  // relation mid-join.  The address is stable for the whole run: Run makes
-  // every head predicate writable (copying it if shared) before anything
-  // is cached, and a relation no rule writes is never copied.
+  // Relation resolved by the last PrepareJoinIndexes call, which only the
+  // parallel driver makes (nullptr when the predicate does not exist yet).
+  // Only read under a frozen context: the canonical store cannot gain
+  // relations mid-phase there, and the driver refreshes the cache at every
+  // barrier.  The sequential path resolves the relation by name in each
+  // Join call instead, because it never runs PrepareJoinIndexes and a
+  // DeltaEvaluator's database may change between calls.  The address is
+  // stable for the whole run: Run makes every head predicate writable
+  // (copying it if shared) before anything is cached, and a relation no
+  // rule writes is never copied.
   const Relation* rel = nullptr;
 };
 
@@ -412,6 +415,9 @@ struct Engine::Impl {
                      const PendingContribution& pc);
   void FlushCtxStats(EvalContext& ctx, const CompiledRule& cr);
 
+  // Facts in `db`, counted from Run's start as facts are inserted or
+  // drained (the fact budget); staged inserts count separately below.
+  size_t total_facts = 0;
   // Count of staged inserts accepted since the last drain (fact budget).
   std::atomic<size_t> staged_total_{0};
 
@@ -728,21 +734,20 @@ Status Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
     return OkStatus();
   }
   Relation& rel = db->GetOrCreate(pred, t.size());
-  if (rel.Insert(t)) {
-    ++stats->facts_derived;
-    if (db->TotalFacts() > options.max_facts) {
-      return ResourceExhausted(
-          "fact budget exceeded (" + std::to_string(options.max_facts) +
-          "); the chase may not terminate on this program");
+  if (!rel.Insert(std::move(t))) return OkStatus();
+  ++stats->facts_derived;
+  if (++total_facts > options.max_facts) {
+    return ResourceExhausted(
+        "fact budget exceeded (" + std::to_string(options.max_facts) +
+        "); the chase may not terminate on this program");
+  }
+  if (recursive_preds != nullptr && next_delta != nullptr &&
+      recursive_preds->count(pred) > 0) {
+    auto it = next_delta->find(pred);
+    if (it == next_delta->end()) {
+      it = next_delta->emplace(pred, Relation(rel.arity())).first;
     }
-    if (recursive_preds != nullptr && next_delta != nullptr &&
-        recursive_preds->count(pred) > 0) {
-      auto it = next_delta->find(pred);
-      if (it == next_delta->end()) {
-        it = next_delta->emplace(pred, Relation(t.size())).first;
-      }
-      it->second.Insert(std::move(t));
-    }
+    it->second.Insert(rel.tuple(rel.size() - 1));
   }
   return OkStatus();
 }
@@ -815,6 +820,7 @@ Status Engine::Impl::Run(FactDb* target) {
       db->GetOrCreate(pred, n);
     }
   }
+  total_facts = db->TotalFacts();
 
   // Decide the evaluation mode.  Skolem-mode programs (and restricted ones
   // without existentials) use the staged-insert parallel path when more
@@ -1071,7 +1077,7 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
     // bounded and the tag comparisons meaningful.
     for (ChaseSeenShard& shard : chase_seen_shared) shard.map.clear();
   }
-  size_t budget_base = db->TotalFacts();
+  size_t budget_base = total_facts;
   uint32_t index = 0;
   auto run_item = [this](WorkItem& item) {
     item.status = item.body != nullptr
@@ -1276,6 +1282,7 @@ Status Engine::Impl::DrainStagedInserts() {
   }
   for (Dirty& d : dirty) {
     stats->facts_derived += d.added;
+    total_facts += d.added;
     if (recursive_preds == nullptr || next_delta == nullptr ||
         recursive_preds->count(*d.pred) == 0) {
       continue;
@@ -1292,7 +1299,7 @@ Status Engine::Impl::DrainStagedInserts() {
   stats->merge_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (db->TotalFacts() > options.max_facts) {
+  if (total_facts > options.max_facts) {
     return ResourceExhausted(
         "fact budget exceeded (" + std::to_string(options.max_facts) +
         "); the chase may not terminate on this program");
@@ -1579,8 +1586,8 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   if (ctx.join_probes.size() < cr.positives.size()) {
     ctx.join_probes.resize(cr.positives.size());
   }
+  // Positions outside `mask` keep stale values; nothing reads them.
   Tuple& probe = ctx.join_probes[literal_index];
-  probe.clear();
   probe.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const ArgSlot& a = lit.args[i];
@@ -1598,10 +1605,10 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   size_t range_begin = is_ranged ? ctx.delta_begin : 0;
   size_t range_end = is_ranged ? ctx.delta_end : static_cast<size_t>(-1);
 
-  // Frozen contexts (parallel / barrier-chase work items) never mutate
-  // relations mid-join, so rows bind by reference; the mutating sequential
-  // path copies each row first because head emission may insert into
-  // `source` itself, reallocating its tuple storage under us.
+  // Rows bind by reference on every path.  On the mutating sequential
+  // path head emission may insert into `source` itself and reallocate its
+  // tuple storage, but `row` is read only while its values are bound,
+  // before the recursion that can emit; nothing reads it afterwards.
   auto try_row = [&](const Tuple& row) -> Status {
     // A single fixpoint iteration can run for minutes on a bad join order;
     // poll the deadline/cancel flag every ~16k candidate rows so such
@@ -1610,16 +1617,18 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
       KGM_RETURN_IF_ERROR(Checkpoint());
     }
     // Bind free positions, checking intra-atom repeated variables.  The
-    // bound-slot scratch is a fixed array: arity is capped at 64 by the
-    // uint64_t position masks, and a heap vector here costs an allocation
-    // per candidate row.
+    // positions in `mask` (constants and slots bound on entry) need no
+    // check: the index walk verified them with MatchesMasked, and a full
+    // scan has none.  The bound-slot scratch is a fixed array: arity is
+    // capped at 64 by the uint64_t position masks, and a heap vector here
+    // costs an allocation per candidate row.
     std::array<int, 64> bound_here;
     size_t bound_count = 0;
     bool ok = true;
     for (size_t i = 0; i < n && ok; ++i) {
       const ArgSlot& a = lit.args[i];
-      if (a.is_const) {
-        if (!(row[i] == a.constant)) ok = false;
+      if ((mask >> i) & 1) {
+        // verified
       } else if (a.slot < 0) {
         // anonymous: matches anything
       } else if (ctx.bound[a.slot]) {
@@ -1648,22 +1657,15 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     return OkStatus();
   }
   if (mask != 0) {
-    const std::vector<uint32_t>& rows = ctx.frozen_db
-                                            ? source->LookupBuilt(mask, probe)
-                                            : source->Lookup(mask, probe);
-    // Lookup results can grow while we iterate if the same relation
-    // receives inserts from head emission; index by position defensively.
-    for (size_t k = 0; k < rows.size(); ++k) {
-      uint32_t rowi = rows[k];
-      if (rowi < range_begin || rowi >= range_end) continue;
+    // The chain is walked in ascending row order, and rows that head
+    // emission appends to it mid-walk are visited too (see RowRange).
+    for (uint32_t rowi : ctx.frozen_db ? source->LookupBuilt(mask, probe)
+                                       : source->Lookup(mask, probe)) {
+      if (rowi >= range_end) break;
+      if (rowi < range_begin) continue;
       ++ctx.probes;
       if (!source->MatchesMasked(rowi, mask, probe)) continue;
-      if (ctx.frozen_db) {
-        KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
-      } else {
-        Tuple row = source->tuple(rowi);
-        KGM_RETURN_IF_ERROR(try_row(row));
-      }
+      KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
     }
     return OkStatus();
   }
@@ -1671,12 +1673,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   size_t scan_end = std::min(source->size(), range_end);
   for (size_t k = range_begin; k < scan_end; ++k) {
     ++ctx.probes;
-    if (ctx.frozen_db) {
-      KGM_RETURN_IF_ERROR(try_row(source->tuple(k)));
-    } else {
-      Tuple row = source->tuple(k);
-      KGM_RETURN_IF_ERROR(try_row(row));
-    }
+    KGM_RETURN_IF_ERROR(try_row(source->tuple(k)));
   }
   return OkStatus();
 }
@@ -1709,10 +1706,8 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
       if (rel->size() > 0) return OkStatus();
     } else {
       bool found = false;
-      const std::vector<uint32_t>& rows = ctx.frozen_db
-                                              ? rel->LookupBuilt(mask, probe)
-                                              : rel->Lookup(mask, probe);
-      for (uint32_t row : rows) {
+      for (uint32_t row : ctx.frozen_db ? rel->LookupBuilt(mask, probe)
+                                        : rel->Lookup(mask, probe)) {
         if (rel->MatchesMasked(row, mask, probe)) {
           found = true;
           break;
@@ -2023,13 +2018,10 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
       return true;
     };
     if (mask != 0) {
-      const std::vector<uint32_t>* rows = nullptr;
-      if (ctx.frozen_db) {
-        rows = rel->TryLookupBuilt(mask, probe);
-      } else {
-        rows = &rel->Lookup(mask, probe);
-      }
-      if (rows != nullptr) {
+      std::optional<Relation::RowRange> rows =
+          ctx.frozen_db ? rel->TryLookupBuilt(mask, probe)
+                        : rel->Lookup(mask, probe);
+      if (rows.has_value()) {
         for (uint32_t rowi : *rows) {
           if (row_ok(rowi)) return true;
         }
@@ -2069,7 +2061,7 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
     if (free_positions.empty()) {
       return rel->Contains(probe) && solve(atom_index + 1);
     }
-    auto try_rows = [&](const std::vector<uint32_t>& rows) -> bool {
+    auto try_rows = [&](const auto& rows) -> bool {
       for (uint32_t rowi : rows) {
         if (mask != 0 && !rel->MatchesMasked(rowi, mask, probe)) continue;
         const Tuple& row = rel->tuple(rowi);
@@ -2095,8 +2087,9 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
     };
     if (mask != 0) {
       if (ctx.frozen_db) {
-        const std::vector<uint32_t>* rows = rel->TryLookupBuilt(mask, probe);
-        if (rows != nullptr) return try_rows(*rows);
+        std::optional<Relation::RowRange> rows =
+            rel->TryLookupBuilt(mask, probe);
+        if (rows.has_value()) return try_rows(*rows);
       } else {
         return try_rows(rel->Lookup(mask, probe));
       }
@@ -2316,21 +2309,35 @@ Engine::Engine(Program program, EngineOptions options)
       return;
     }
   }
+  // Compiling here makes status() report every compile error (conflicting
+  // arities, rules over 64 variables, atoms over 60 arguments, malformed
+  // aggregates) before anything runs.  The first run uses this compilation.
+  auto impl = std::make_unique<Impl>(this);
+  init_status_ = impl->CompileAll();
+  if (init_status_.ok()) compiled_ = std::move(impl);
+}
+
+Engine::~Engine() = default;
+
+std::unique_ptr<Engine::Impl> Engine::TakeCompiled() {
+  if (compiled_ != nullptr) return std::move(compiled_);
+  // A later run: per-run state (monotonic groups, cached relations) lives
+  // in the compiled rules, so compile afresh.  It compiled at construction.
+  auto impl = std::make_unique<Impl>(this);
+  KGM_CHECK(impl->CompileAll().ok());
+  return impl;
 }
 
 Status Engine::Run(FactDb* db) {
   KGM_RETURN_IF_ERROR(init_status_);
-  Impl impl(this);
-  KGM_RETURN_IF_ERROR(impl.CompileAll());
-  return impl.Run(db);
+  return TakeCompiled()->Run(db);
 }
 
 Status Engine::RunStrata(FactDb* db, const std::set<int>& strata) {
   KGM_RETURN_IF_ERROR(init_status_);
-  Impl impl(this);
-  KGM_RETURN_IF_ERROR(impl.CompileAll());
-  impl.stratum_filter = &strata;
-  return impl.Run(db);
+  std::unique_ptr<Impl> impl = TakeCompiled();
+  impl->stratum_filter = &strata;
+  return impl->Run(db);
 }
 
 // --- DeltaEvaluator -----------------------------------------------------------

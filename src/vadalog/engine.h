@@ -155,8 +155,9 @@ class Engine {
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
+  ~Engine();
 
-  // Construction-time validation outcome.
+  // Construction-time validation and compilation outcome.
   const Status& status() const { return init_status_; }
 
   const Program& program() const { return program_; }
@@ -182,11 +183,16 @@ class Engine {
   friend class DeltaEvaluator;
   struct Impl;
 
+  // The construction-time compilation for the first run, or a fresh one.
+  std::unique_ptr<Impl> TakeCompiled();
+
   Program program_;
   EngineOptions options_;
   Status init_status_;
   Stratification strat_;
   EngineStats stats_;
+  // Compiled at construction; the first run takes it.
+  std::unique_ptr<Impl> compiled_;
 };
 
 // Convenience: parse, validate and run `source` against `db`.

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
+#include "finkg/company_kg.h"
+#include "finkg/generator.h"
+#include "instance/pipeline.h"
 #include "metalog/parser.h"
+#include "metalog/runner.h"
 #include "vadalog/analysis.h"
 
 namespace kgm::metalog {
@@ -121,9 +129,91 @@ TEST(MtvTest, ReflexiveStarExpandsToTwoVariants) {
       found_zero = true;
       // Endpoints unified: head from == head to.
       EXPECT_EQ(rule.head[0].args[1].var, rule.head[0].args[2].var);
+    } else {
+      // The closure literal sits where the star does: directly after the
+      // star's left node literal, before the right one.
+      ASSERT_GE(rule.body.size(), 3u);
+      EXPECT_EQ(rule.body[0].atom.predicate, "Business");
+      EXPECT_EQ(rule.body[0].atom.args[0].var, "x");
+      EXPECT_NE(rule.body[1].atom.predicate.find("_closure"),
+                std::string::npos);
+      EXPECT_EQ(rule.body[1].atom.args[0].var, "x");
+      EXPECT_EQ(rule.body[2].atom.predicate, "Business");
     }
   }
   EXPECT_TRUE(found_zero);
+}
+
+// Two stars in a row: when the first path is empty and the second is not,
+// the second closure starts at the unified node, never at a variable that
+// no other literal binds.
+TEST(MtvTest, ChainedStarsJoinAtTheUnifiedNode) {
+  MtvResult r = TranslateOrDie(
+      "(x: Business) [: OWNS]* (m: Business) [: OWNS]* (y: Business)"
+      " -> (x)[: MAJORITY](y).",
+      CompanyCatalog());
+  size_t main_rules = 0;
+  for (const auto& rule : r.program.rules) {
+    if (rule.head.empty() || rule.head[0].predicate != "MAJORITY") continue;
+    ++main_rules;
+    std::set<std::string> nodes;
+    for (const auto& lit : rule.body) {
+      if (lit.atom.predicate == "Business") nodes.insert(lit.atom.args[0].var);
+    }
+    for (const auto& lit : rule.body) {
+      if (lit.atom.predicate.find("_closure") == std::string::npos) continue;
+      EXPECT_EQ(nodes.count(lit.atom.args[0].var), 1u) << rule.ToString();
+      EXPECT_EQ(nodes.count(lit.atom.args[1].var), 1u) << rule.ToString();
+    }
+  }
+  EXPECT_EQ(main_rules, 4u);
+}
+
+// The staged pipeline's node views walk the generalization hierarchy with
+// a reflexive star.  Persons are loaded as PhysicalPerson instances, so the
+// Person view needs the star's closure variant (PhysicalPerson ->
+// Person) and Businesses need two steps (Business -> LegalPerson ->
+// Person).  The staged run must derive exactly what direct MetaLog
+// execution derives on the multi-label data graph.
+TEST(MtvTest, StarClosureVariantStagedEqualsDirect) {
+  for (uint64_t seed : {3u, 17u}) {
+    finkg::GeneratorConfig config;
+    config.num_companies = 40;
+    config.num_persons = 40;
+    config.seed = seed;
+    finkg::ShareholdingNetwork net =
+        finkg::ShareholdingNetwork::Generate(config);
+    pg::PropertyGraph staged = net.ToOwnershipGraph(/*include_persons=*/true);
+    pg::PropertyGraph direct = net.ToOwnershipGraph(/*include_persons=*/true);
+
+    auto pipeline = instance::Materialize(finkg::CompanyKgSchema(),
+                                          finkg::kCloseLinksProgram, &staged);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    auto run = RunMetaLogSource(finkg::kCloseLinksProgram, &direct);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+    auto links = [](const pg::PropertyGraph& g) {
+      std::set<std::pair<std::string, std::string>> out;
+      for (pg::EdgeId e : g.EdgesWithLabel("CLOSE_LINK")) {
+        const Value* from = g.NodeProperty(g.edge(e).from, "fiscalCode");
+        const Value* to = g.NodeProperty(g.edge(e).to, "fiscalCode");
+        if (from != nullptr && to != nullptr) {
+          out.emplace(from->AsString(), to->AsString());
+        }
+      }
+      return out;
+    };
+    std::set<std::pair<std::string, std::string>> got = links(staged);
+    EXPECT_EQ(got, links(direct)) << "seed " << seed;
+    // The closure variant fired: some close link starts at a person.
+    bool from_person = false;
+    for (pg::EdgeId e : staged.EdgesWithLabel("CLOSE_LINK")) {
+      if (staged.node(staged.edge(e).from).HasLabel("PhysicalPerson")) {
+        from_person = true;
+      }
+    }
+    EXPECT_TRUE(from_person) << "seed " << seed;
+  }
 }
 
 TEST(MtvTest, NonReflexiveStarMatchesPaperTranslation) {

@@ -15,6 +15,13 @@ Tuple T(std::initializer_list<int64_t> values) {
   return t;
 }
 
+// The rows of one index walk, in walk order.
+std::vector<uint32_t> Rows(Relation::RowRange range) {
+  std::vector<uint32_t> out;
+  for (uint32_t row : range) out.push_back(row);
+  return out;
+}
+
 // Drains every staged tuple the way the engine does: PrepareStagedShard on
 // each shard, then one DrainPrepared.
 size_t Drain(Relation& rel) {
@@ -56,10 +63,10 @@ TEST(RelationTest, IndexMaintainedAcrossInserts) {
   Relation rel(2);
   rel.Insert(T({1, 10}));
   Tuple probe = T({1, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 1u);
   // Insert after the index is built: index must pick it up.
   rel.Insert(T({1, 20}));
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 2u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 2u);
 }
 
 TEST(RelationTest, MultiPositionMask) {
@@ -130,14 +137,14 @@ TEST(RelationShardTest, ReshardPreservesDedupAndIndexes) {
   Relation rel(2);
   for (int64_t i = 0; i < 100; ++i) rel.Insert(T({i, i * 10}));
   Tuple probe = T({7, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 1u);
   rel.Reshard(16);
   EXPECT_EQ(rel.size(), 100u);
   for (int64_t i = 0; i < 100; ++i) {
     EXPECT_FALSE(rel.Insert(T({i, i * 10}))) << i;  // still deduplicated
     EXPECT_TRUE(rel.Contains(T({i, i * 10}))) << i;
   }
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 1u);
 }
 
 TEST(RelationShardTest, StageInsertDedupsAgainstCanonicalAndStaged) {
@@ -178,10 +185,10 @@ TEST(RelationShardTest, DrainMaintainsBuiltIndexes) {
   Relation rel(2, 4);
   rel.Insert(T({1, 10}));
   Tuple probe = T({1, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 1u);
   EXPECT_TRUE(rel.StageInsert({0, 0}, T({1, 20})));
   Drain(rel);
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 2u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 2u);
 }
 
 TEST(RelationShardTest, DiscardStagedDropsEverything) {
@@ -214,23 +221,23 @@ TEST(RelationShardTest, TwoPhaseDrainMaintainsBuiltIndexes) {
   Relation rel(2, 4);
   rel.Insert(T({1, 10}));
   Tuple probe = T({1, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 1u);
   EXPECT_TRUE(rel.StageInsert({0, 0}, T({1, 20})));
   EXPECT_TRUE(rel.StageInsert({1, 0}, T({1, 30})));
   for (size_t s = 0; s < rel.shard_count(); ++s) rel.PrepareStagedShard(s);
   EXPECT_EQ(rel.DrainPrepared(), 2u);
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 3u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 3u);
 }
 
 TEST(RelationShardTest, CloneIsDeepAndIndependent) {
   Relation rel(2, 4);
   for (int64_t i = 0; i < 50; ++i) rel.Insert(T({i, i * 2}));
   Tuple probe = T({7, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);  // build an index first
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 1u);  // build an index first
 
   Relation copy = rel.Clone();
   EXPECT_EQ(copy.size(), 50u);
-  EXPECT_EQ(copy.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(Rows(copy.Lookup(0b01, probe)).size(), 1u);
   for (int64_t i = 0; i < 50; ++i) {
     EXPECT_FALSE(copy.Insert(T({i, i * 2}))) << i;  // dedup state copied
   }
@@ -326,18 +333,18 @@ TEST(RelationIndexTest, CloneInheritsIndexesWithoutCountingBuilds) {
   Relation rel(2);
   for (int64_t i = 0; i < 20; ++i) rel.Insert(T({i % 4, i}));
   Tuple probe = T({1, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 5u);
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 5u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 5u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 5u);
   EXPECT_EQ(rel.index_builds(), 1u);
 
   Relation copy = rel.Clone();
   EXPECT_EQ(copy.index_builds(), 0u);
-  ASSERT_NE(copy.TryLookupBuilt(0b01, probe), nullptr);
-  EXPECT_EQ(copy.TryLookupBuilt(0b01, probe)->size(), 5u);
+  ASSERT_TRUE(copy.TryLookupBuilt(0b01, probe).has_value());
+  EXPECT_EQ(Rows(*copy.TryLookupBuilt(0b01, probe)).size(), 5u);
   // The copy's index is its own: inserts into it do not reach the source.
   EXPECT_TRUE(copy.Insert(T({1, 100})));
-  EXPECT_EQ(copy.Lookup(0b01, probe).size(), 6u);
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 5u);
+  EXPECT_EQ(Rows(copy.Lookup(0b01, probe)).size(), 6u);
+  EXPECT_EQ(Rows(rel.Lookup(0b01, probe)).size(), 5u);
 }
 
 // Concurrent readers of one shared relation race to build each index: every
@@ -371,6 +378,107 @@ TEST(RelationIndexTest, ConcurrentLazyBuildsPublishOneIndexPerMask) {
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[t], 0u) << t;
   EXPECT_EQ(shared->index_builds(), masks.size());
+}
+
+// The rows a full scan finds for (mask, probe), in row order: what every
+// index walk must yield once MatchesMasked filters hash collisions.
+std::vector<uint32_t> ScanRows(const Relation& rel, uint64_t mask,
+                               const Tuple& probe) {
+  std::vector<uint32_t> out;
+  for (size_t row = 0; row < rel.size(); ++row) {
+    if (rel.MatchesMasked(row, mask, probe)) {
+      out.push_back(static_cast<uint32_t>(row));
+    }
+  }
+  return out;
+}
+
+std::vector<uint32_t> MatchingRows(const Relation& rel, uint64_t mask,
+                                   const Tuple& probe) {
+  std::vector<uint32_t> out;
+  for (uint32_t row : rel.Lookup(mask, probe)) {
+    if (rel.MatchesMasked(row, mask, probe)) out.push_back(row);
+  }
+  return out;
+}
+
+// The sequential join walks an index chain while head emission appends to
+// the same relation: matching rows appended mid-walk must be visited, in
+// row order, even when the appends grow the index's arrays.
+TEST(RelationIndexTest, WalkVisitsRowsInsertedDuringTheWalk) {
+  Relation rel(2);
+  rel.Insert(T({1, 0}));
+  rel.Insert(T({2, 0}));
+  rel.Insert(T({1, 1}));
+  const Tuple probe = T({1, 0});
+  std::vector<uint32_t> visited;
+  int64_t next = 2;
+  for (uint32_t row : rel.Lookup(0b01, probe)) {
+    if (!rel.MatchesMasked(row, 0b01, probe)) continue;
+    visited.push_back(row);
+    if (next < 40) {
+      // Many fresh keys, so the slot table rehashes mid-walk, then one
+      // more row for the walked key.
+      for (int64_t k = 0; k < 20; ++k) rel.Insert(T({1000 * next + k, k}));
+      rel.Insert(T({1, next++}));
+    }
+  }
+  EXPECT_EQ(visited.size(), 40u);
+  EXPECT_EQ(visited, ScanRows(rel, 0b01, probe));
+}
+
+// EraseTuples relinks every built index through the row remap: each index
+// answers with the compacted row ids in order, keys whose rows are all gone
+// answer nothing, and no index is rebuilt.
+TEST(RelationIndexTest, EraseRemapsEveryBuiltIndex) {
+  Relation rel(3);
+  for (int64_t i = 0; i < 300; ++i) rel.Insert(T({i % 10, i % 7, i}));
+  const std::vector<uint64_t> masks = {0b001, 0b010, 0b011};
+  for (uint64_t mask : masks) rel.EnsureIndex(mask);
+  std::vector<Tuple> erase;
+  for (int64_t i = 0; i < 300; ++i) {
+    if (i % 3 == 0 || i % 10 == 4) erase.push_back(T({i % 10, i % 7, i}));
+  }
+  EXPECT_EQ(rel.EraseTuples(erase), erase.size());
+  EXPECT_EQ(rel.index_builds(), masks.size());
+  // Appends after the erase link onto the relinked chains.
+  rel.Insert(T({3, 3, 1000}));
+  rel.Insert(T({5, 2, 1001}));
+  for (uint64_t mask : masks) {
+    for (int64_t a = 0; a < 10; ++a) {
+      for (int64_t b = 0; b < 7; ++b) {
+        const Tuple probe = T({a, b, 0});
+        EXPECT_EQ(MatchingRows(rel, mask, probe), ScanRows(rel, mask, probe))
+            << mask << " " << a << " " << b;
+      }
+    }
+  }
+  EXPECT_TRUE(Rows(rel.Lookup(0b001, T({4, 0, 0}))).empty());
+  EXPECT_TRUE(Rows(rel.LookupBuilt(0b011, T({4, 4, 0}))).empty());
+  EXPECT_EQ(rel.index_builds(), masks.size());
+}
+
+// A clone copies the indexes; appends to either side stay on that side,
+// even where both append the same row id.
+TEST(RelationIndexTest, CloneAndSourceDoNotSeeEachOthersAppends) {
+  Relation rel(2);
+  for (int64_t i = 0; i < 20; ++i) rel.Insert(T({i % 4, i}));
+  const Tuple probe = T({1, 0});
+  ASSERT_EQ(MatchingRows(rel, 0b01, probe).size(), 5u);
+  Relation copy = rel.Clone();
+  EXPECT_TRUE(rel.Insert(T({1, 100})));
+  EXPECT_TRUE(copy.Insert(T({1, 200})));
+  EXPECT_TRUE(copy.Insert(T({1, 201})));
+  std::vector<uint32_t> in_rel = MatchingRows(rel, 0b01, probe);
+  std::vector<uint32_t> in_copy = MatchingRows(copy, 0b01, probe);
+  ASSERT_EQ(in_rel.size(), 6u);
+  ASSERT_EQ(in_copy.size(), 7u);
+  EXPECT_EQ(rel.tuple(in_rel.back()), T({1, 100}));
+  EXPECT_EQ(copy.tuple(in_copy[5]), T({1, 200}));
+  EXPECT_EQ(copy.tuple(in_copy[6]), T({1, 201}));
+  EXPECT_EQ(in_rel, ScanRows(rel, 0b01, probe));
+  EXPECT_EQ(in_copy, ScanRows(copy, 0b01, probe));
+  EXPECT_EQ(copy.index_builds(), 0u);
 }
 
 TEST(FactDbTest, CloneCopiesEveryRelation) {

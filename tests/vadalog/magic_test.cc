@@ -409,6 +409,10 @@ TEST(PointQueryTest, RulesWith64PlusVariablesFailLikeMaterialize) {
       EvalPointQuery(program, query, &point_db, {}, &stats);
   EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition)
       << got.status().ToString();
+  // The engine rejects the rewritten program at construction, so the query
+  // is counted as a rejected rewrite that fell back to materialization.
+  EXPECT_EQ(stats.fallback, FallbackReason::kRewriteRejected);
+  EXPECT_EQ(stats.mode, PointQueryMode::kMaterialize);
 
   PointQueryOptions materialize;
   materialize.force_materialize = true;
